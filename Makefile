@@ -15,11 +15,4 @@ race:
 bench:
 	go test -run='^$$' -bench=. -benchmem .
 
-# Record the full benchmark suite (experiments + package micros,
-# BENCH_COUNT runs each) to the git-ignored .bench/ scratch directory.
-# Compare two recordings with `./scripts/bench.sh diff old.txt new.txt`,
-# or regenerate the committed comparison with `./scripts/bench.sh json`.
-bench-record:
-	./scripts/bench.sh record .bench/bench_latest.txt
-
-.PHONY: check build test race bench bench-record
+.PHONY: check build test race bench

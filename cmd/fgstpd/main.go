@@ -143,6 +143,11 @@ func serveCmd(args []string) int {
 		return 2
 	}
 
+	// Catch SIGTERM before the port is bound: once /readyz can answer,
+	// a signal must drain, never kill with the default action.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "fgstpd:", err)
@@ -161,8 +166,6 @@ func serveCmd(args []string) int {
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 	select {
 	case err := <-serveErr:
 		fmt.Fprintln(os.Stderr, "fgstpd:", err)

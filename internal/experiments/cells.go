@@ -16,11 +16,11 @@ import (
 // into: one cmp run of one execution mode on one workload trace under
 // one machine configuration. The experiment harness reaches the engine
 // exclusively through runner.cellRun below, which makes the cell the
-// natural granularity for external memoisation: the fgstpd daemon
+// natural granularity for memoisation: the session memo in cellRun
+// runs each distinct cell once (E2 and E4 share every medium
+// single-core and full-fabric Fg-STP cell), and the fgstpd daemon
 // installs a CellFunc that serves cells from its content-addressed
-// result cache, so overlapping experiments (E2 and E4 share every
-// medium single-core and full-fabric Fg-STP cell) and repeated sweeps
-// share work automatically.
+// result cache, so repeated sweeps share work too.
 
 // CellFunc runs one simulation cell. The trace is the session's shared
 // immutable capture of w at the session budget; implementations must
@@ -46,28 +46,51 @@ func (s *Session) SetCellRunner(fn CellFunc) { s.r.cell = fn }
 // byte-identical with and without a sink attached.
 func (s *Session) SetHotBlock(c *hotblock.Counters) { s.r.hb = c }
 
+// CellConfig is a cell's canonical machine identity: m as JSON with the
+// sections mode never reads blanked (single-core runs read Core and
+// Hier, Core Fusion also Fusion, Fg-STP also the fabric), so every
+// fabric variant of a preset shares its single-core cell. The session
+// memo and the fgstpd cell cache both key by it.
+func CellConfig(m config.Machine, mode cmp.Mode) ([]byte, error) {
+	switch mode {
+	case cmp.ModeSingle:
+		m.Fusion = config.FusionOverheads{}
+		m.FgSTP = config.FgSTP{}
+	case cmp.ModeFusion:
+		m.FgSTP = config.FgSTP{}
+	}
+	return m.ToJSON()
+}
+
 // cellRun is the single interception point between the experiment
 // harness and the simulation engine: every clean cell of every
-// experiment funnels through here (the in-session single-flight
-// baseline caches sit above it, so a session still runs each shared
-// baseline cell at most once).
+// experiment funnels through here, and the session memo in front of
+// the engine and any installed CellFunc runs each distinct cell once.
+// The key needs no trace (one per workload at the session budget), and
+// failed cells are not memoised, so a cancellation is never pinned.
 func (r *runner) cellRun(m config.Machine, mode cmp.Mode, w workloads.Workload) (stats.Run, error) {
-	tr := r.traceOf(w)
-	if r.cell != nil {
-		return r.cell(m, mode, w, tr)
+	cfg, err := CellConfig(m, mode)
+	if err != nil {
+		return stats.Run{}, err
 	}
-	if r.hb == nil {
-		return cmp.Run(m, mode, tr)
-	}
-	// A telemetry sink is attached: give the run its own counters (the
-	// engine writes them single-threaded) and fold them into the shared
-	// aggregate under the session lock — cells run concurrently.
-	var local hotblock.Counters
-	run, err := cmp.RunOpts(m, mode, tr, cmp.Options{HotBlock: &local})
-	r.hbMu.Lock()
-	r.hb.Merge(local)
-	r.hbMu.Unlock()
-	return run, err
+	return r.memo.Do(string(mode)+"/"+w.Name+"/"+string(cfg), func() (stats.Run, error) {
+		tr := r.traceOf(w)
+		if r.cell != nil {
+			return r.cell(m, mode, w, tr)
+		}
+		if r.hb == nil {
+			return cmp.Run(m, mode, tr)
+		}
+		// A telemetry sink is attached: the run gets its own counters
+		// (the engine writes them unsynchronised), folded into the
+		// shared aggregate under the session lock.
+		var local hotblock.Counters
+		run, err := cmp.RunOpts(m, mode, tr, cmp.Options{HotBlock: &local})
+		r.hbMu.Lock()
+		r.hb.Merge(local)
+		r.hbMu.Unlock()
+		return run, err
+	})
 }
 
 // Cell identifies one simulation cell of an experiment: the full
@@ -84,9 +107,9 @@ type Cell struct {
 // given per-cell instruction budget (0 picks the default of 100k), in
 // deterministic submission order, by executing the experiment under a
 // recording stub cell runner — no engine simulation runs, only trace
-// capture. The enumeration mirrors execution exactly: cells deduped by
-// the session's single-flight baseline caches appear once, repeated
-// Fg-STP cells of distinct fabric variants appear per variant.
+// capture. The enumeration mirrors execution exactly: each distinct
+// (mode, workload, CellConfig) cell appears once, in the order the
+// session memo first asks for it.
 //
 // E12 is the one experiment that does not decompose into cmp cells
 // (its phase-granularity simulations run inside internal/adaptive), so

@@ -2,7 +2,9 @@ package experiments
 
 import (
 	"bytes"
+	"errors"
 	"reflect"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -16,8 +18,8 @@ import (
 
 // TestCellsE2 pins the enumeration of the headline figure: every
 // workload in every mode on the medium machine, in deterministic
-// submission order, each exactly once (the in-session baseline caches
-// dedupe nothing here — E2 runs each (mode, workload) pair once).
+// submission order, each exactly once (the session memo dedupes
+// nothing here — E2 runs each (mode, workload) pair once).
 func TestCellsE2(t *testing.T) {
 	cells, err := Cells("E2", 3000)
 	if err != nil {
@@ -48,7 +50,7 @@ func TestCellsE2(t *testing.T) {
 	}
 }
 
-// TestCellsE4Dedupe pins the single-flight interaction: E4's five
+// TestCellsE4Dedupe pins the memo interaction: E4's five
 // fabric variants share one single-core baseline per workload (the
 // variants mutate only the Fg-STP section), so the enumeration carries
 // W single cells and 5W Fg-STP cells.
@@ -165,6 +167,107 @@ func TestPoisonBypassesCellRunner(t *testing.T) {
 	})
 	if _, err := s.Run("E2"); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestMemoKeysByContent is the regression test for name-keyed
+// baselines: two machines that share a Name but differ in Core must get
+// distinct single-core results in one session, each equal to a direct
+// engine run.
+func TestMemoKeysByContent(t *testing.T) {
+	const insts = 2000
+	w := workloads.All()[0]
+	tr := w.Trace(insts)
+	resized := config.Small()
+	resized.Name = config.Medium().Name
+	s := NewSession(insts, 1)
+	for _, m := range []config.Machine{config.Medium(), resized} {
+		got, err := s.r.runOf(m, cmp.ModeSingle, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := cmp.Run(m, cmp.ModeSingle, tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s core (ROB %d): session served cycles=%d, engine gives %d",
+				m.Name, m.Core.ROBSize, got.Cycles, want.Cycles)
+		}
+	}
+	if n := s.r.memo.Len(); n != 2 {
+		t.Fatalf("memo holds %d cells, want 2", n)
+	}
+}
+
+// TestSessionCellsDistinct runs the paper set in one session under a
+// recording cell runner: the memo sits above the runner, so it sees
+// each distinct (mode, workload, canonical config) cell exactly once —
+// 58 single, 58 Core Fusion and 667 Fg-STP cells, where the experiments
+// ask for 1073.
+func TestSessionCellsDistinct(t *testing.T) {
+	s := NewSession(500, 0)
+	var mu sync.Mutex
+	seen := map[string]bool{}
+	counts := map[cmp.Mode]int{}
+	s.SetCellRunner(func(m config.Machine, mode cmp.Mode, w workloads.Workload, _ *trace.Trace) (stats.Run, error) {
+		cfg, err := CellConfig(m, mode)
+		if err != nil {
+			return stats.Run{}, err
+		}
+		key := string(mode) + "/" + w.Name + "/" + string(cfg)
+		mu.Lock()
+		defer mu.Unlock()
+		if seen[key] {
+			t.Errorf("cell %s/%s on %s reached the runner twice", mode, w.Name, m.Name)
+		}
+		seen[key] = true
+		counts[mode]++
+		run := stats.Run{Workload: w.Name, Mode: string(mode), Cycles: 1, Insts: 1}
+		run.Set("active_cores", 1)
+		return run, nil
+	})
+	for _, id := range IDs() {
+		if _, err := s.Run(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := map[cmp.Mode]int{cmp.ModeSingle: 58, cmp.ModeFusion: 58, cmp.ModeFgSTP: 667}
+	if !reflect.DeepEqual(counts, want) {
+		t.Fatalf("runner saw %v cells, want %v", counts, want)
+	}
+}
+
+// TestMemoRetriesFailedCells: a failed cell is not memoised, so the
+// next experiment that asks for it runs it again.
+func TestMemoRetriesFailedCells(t *testing.T) {
+	failing := workloads.All()[0].Name
+	var calls, failures atomic.Int64
+	s := NewSession(2000, 0)
+	s.SetCellRunner(func(m config.Machine, mode cmp.Mode, w workloads.Workload, tr *trace.Trace) (stats.Run, error) {
+		calls.Add(1)
+		if mode == cmp.ModeSingle && w.Name == failing && failures.Add(1) == 1 {
+			return stats.Run{}, errors.New("transient")
+		}
+		return cmp.Run(m, mode, tr)
+	})
+	first, err := s.Run("E2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(first.Failures) != 1 {
+		t.Fatalf("first E2 failures = %v, want the one injected", first.Failures)
+	}
+	before := calls.Load()
+	second, err := s.Run("E2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if second.Failed() {
+		t.Fatalf("second E2 failures = %v, want none", second.Failures)
+	}
+	if got := calls.Load() - before; got != 1 {
+		t.Fatalf("second E2 reached the runner %d times, want 1 (only the failed cell)", got)
 	}
 }
 

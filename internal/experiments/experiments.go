@@ -82,7 +82,7 @@ func (r *Result) String() string {
 
 // runner bundles the common parameters of an experiment run: the
 // per-simulation instruction budget, the worker count the job lists fan
-// out over, and the session-wide single-flight caches.
+// out over, and the session-wide single-flight trace and cell caches.
 type runner struct {
 	insts uint64
 	// jobs is the worker count for sched.Map fan-out (<= 0 picks
@@ -100,14 +100,11 @@ type runner struct {
 	// pool, the first job to ask captures while the rest wait, so each
 	// workload is captured exactly once per session.
 	traces sched.Cache[string, *trace.Trace]
-	// singles caches single-core runs and fusions caches Core Fusion
-	// runs, both keyed machine/workload. The sensitivity sweeps and
-	// ablations mutate only the Fg-STP fabric of a preset, so both
-	// baselines are invariant across every experiment of a session;
-	// any new experiment that mutates Core, Hier or Fusion must also
-	// rename the machine.
-	singles sched.Cache[string, stats.Run]
-	fusions sched.Cache[string, stats.Run]
+	// memo holds every clean cell the session has run, keyed by mode,
+	// workload and canonical cell config (see cellRun in cells.go), so
+	// each distinct cell of every mode simulates at most once per
+	// session.
+	memo sched.Cache[string, stats.Run]
 	// cell, when non-nil, intercepts every clean simulation cell in
 	// place of the direct engine call (see SetCellRunner in cells.go).
 	// Poisoned Fg-STP cells bypass it: degraded runs are never
@@ -124,20 +121,6 @@ func newRunner(insts uint64, jobs int) *runner {
 	return &runner{insts: insts, jobs: jobs, ctx: context.Background()}
 }
 
-// singleOf runs (and memoises, single-flight) the single-core baseline.
-func (r *runner) singleOf(m config.Machine, w workloads.Workload) (stats.Run, error) {
-	return r.singles.Do(m.Name+"/"+w.Name, func() (stats.Run, error) {
-		return r.cellRun(m, cmp.ModeSingle, w)
-	})
-}
-
-// fusionOf runs (and memoises, single-flight) the Core Fusion baseline.
-func (r *runner) fusionOf(m config.Machine, w workloads.Workload) (stats.Run, error) {
-	return r.fusions.Do(m.Name+"/"+w.Name, func() (stats.Run, error) {
-		return r.cellRun(m, cmp.ModeFusion, w)
-	})
-}
-
 // traceOf captures (and memoises, single-flight) a workload trace.
 // Traces are immutable after capture (see internal/trace), so the
 // shared pointer is safe to replay on any number of concurrent
@@ -149,28 +132,15 @@ func (r *runner) traceOf(w workloads.Workload) *trace.Trace {
 	return t
 }
 
-// fgstpOf runs the Fg-STP configuration, installing a fresh
-// channel-stall fault when the workload is poisoned (see
-// Session.Poison). The stall is per-run: injectors carry state, so
-// concurrent cells never share one.
-func (r *runner) fgstpOf(m config.Machine, w workloads.Workload) (stats.Run, error) {
-	if w.Name == r.poison {
-		return cmp.RunFaulty(m, cmp.ModeFgSTP, r.traceOf(w), faults.ChannelStall(0))
-	}
-	return r.cellRun(m, cmp.ModeFgSTP, w)
-}
-
-// runOf dispatches one (machine, mode, workload) simulation through
-// the baseline caches where the mode allows it.
+// runOf runs one (machine, mode, workload) cell through the session
+// memo. A poisoned workload's Fg-STP cells (see Session.Poison) bypass
+// it and run with a fresh channel-stall fault: injectors carry state,
+// so concurrent cells never share one.
 func (r *runner) runOf(m config.Machine, mode cmp.Mode, w workloads.Workload) (stats.Run, error) {
-	switch mode {
-	case cmp.ModeSingle:
-		return r.singleOf(m, w)
-	case cmp.ModeFusion:
-		return r.fusionOf(m, w)
-	default:
-		return r.fgstpOf(m, w)
+	if mode == cmp.ModeFgSTP && w.Name == r.poison {
+		return cmp.RunFaulty(m, mode, r.traceOf(w), faults.ChannelStall(0))
 	}
+	return r.cellRun(m, mode, w)
 }
 
 // outcome is one simulation cell: its run on success, its error on
@@ -274,16 +244,22 @@ func (r *runner) gridOutcomes(m config.Machine, ws []workloads.Workload, modes [
 // batch.
 func (r *runner) speedupOutcomes(m config.Machine, ws []workloads.Workload) ([]float64, []error) {
 	return sched.MapAllCtx(r.ctx, r.jobs, ws, func(w workloads.Workload) (float64, error) {
-		s, err := r.singleOf(m, w)
-		if err != nil {
-			return 0, err
-		}
-		g, err := r.fgstpOf(m, w)
-		if err != nil {
-			return 0, err
-		}
-		return stats.Speedup(&s, &g), nil
+		return r.speedup(m, w)
 	})
+}
+
+// speedup runs one (single, fgstp) cell pair and returns the Fg-STP
+// speedup over the single core.
+func (r *runner) speedup(m config.Machine, w workloads.Workload) (float64, error) {
+	s, err := r.runOf(m, cmp.ModeSingle, w)
+	if err != nil {
+		return 0, err
+	}
+	g, err := r.runOf(m, cmp.ModeFgSTP, w)
+	if err != nil {
+		return 0, err
+	}
+	return stats.Speedup(&s, &g), nil
 }
 
 // IDs lists the paper-reconstruction experiment identifiers in order.
@@ -298,8 +274,8 @@ func ExtensionIDs() []string { return []string{"E11", "E12"} }
 
 // Session runs experiments with shared single-flight caches: across an
 // `-experiment all` run each workload trace is captured once and each
-// single-core / Core Fusion baseline simulated once, no matter how many
-// experiments (or concurrent jobs within one) ask for it. Sessions are
+// distinct cell simulated once, no matter how many experiments (or
+// concurrent jobs within one) ask for it. Sessions are
 // safe for use from one goroutine at a time; the parallelism lives in
 // the per-experiment job lists, which fan out over the session's worker
 // count.
@@ -329,7 +305,7 @@ func (s *Session) Poison(workload string) { s.r.poison = workload }
 // Run executes one experiment with the given per-run instruction
 // budget (0 picks the default of 100k), fanning its job list out over
 // GOMAXPROCS workers. Results are independent of worker count. Use a
-// Session to share trace and baseline caches across experiments.
+// Session to share trace and cell caches across experiments.
 func Run(id string, insts uint64) (*Result, error) {
 	return NewSession(insts, 0).Run(id)
 }
@@ -515,7 +491,7 @@ func (r *runner) e4() (*Result, error) {
 		"variant", "geomean", "vs full")
 	// One job list spans every (variant × workload) pair; the shared
 	// single-core baseline (the variants mutate only the Fg-STP
-	// fabric) is computed once via the single-flight cache.
+	// fabric) is computed once via the session memo.
 	ws := workloads.All()
 	type cell struct {
 		vi int
@@ -532,15 +508,7 @@ func (r *runner) e4() (*Result, error) {
 		}
 	}
 	sp, errs := sched.MapAllCtx(r.ctx, r.jobs, cells, func(c cell) (float64, error) {
-		s, err := r.singleOf(machines[c.vi], c.w)
-		if err != nil {
-			return 0, err
-		}
-		g, err := r.fgstpOf(machines[c.vi], c.w)
-		if err != nil {
-			return 0, err
-		}
-		return stats.Speedup(&s, &g), nil
+		return r.speedup(machines[c.vi], c.w)
 	})
 	var failures []string
 	var full float64
@@ -711,7 +679,7 @@ func (r *runner) e8() (*Result, error) {
 	}
 	rows, errs := sched.MapAllCtx(r.ctx, r.jobs, ws, func(w workloads.Workload) (row, error) {
 		tr := r.traceOf(w)
-		g, err := r.fgstpOf(m, w)
+		g, err := r.runOf(m, cmp.ModeFgSTP, w)
 		return row{g, tr.Len()}, err
 	})
 	var failures []string

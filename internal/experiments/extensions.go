@@ -35,7 +35,7 @@ func (r *runner) e11() (*Result, error) {
 	compared := []cmp.Mode{cmp.ModeFusion, cmp.ModeFgSTP}
 	ws := workloads.All()
 	// One job per workload: each simulates all three modes (through the
-	// session's baseline caches) and reduces them to the per-mode
+	// session memo) and reduces them to the per-mode
 	// energy comparisons, which aggregate below in workload order.
 	type row struct {
 		c map[cmp.Mode]energy.Compare

@@ -29,8 +29,9 @@ func TestJobsDeterminism(t *testing.T) {
 }
 
 // TestSessionCachesShared checks that one session reuses traces and
-// baselines across experiments: after E2 ran the medium grid, E4 on
-// the same session must not re-capture any trace.
+// cells across experiments: after E2 ran the medium grid, E4 on the
+// same session must not re-capture any trace, and of its 6W cells only
+// the 4W mutated-fabric Fg-STP cells are new to the memo.
 func TestSessionCachesShared(t *testing.T) {
 	s := NewSession(determinismInsts, 0)
 	if _, err := s.Run("E2"); err != nil {
@@ -40,13 +41,17 @@ func TestSessionCachesShared(t *testing.T) {
 	if captured == 0 {
 		t.Fatal("E2 captured no traces")
 	}
+	cells := s.r.memo.Len()
+	if want := 3 * captured; cells != want {
+		t.Fatalf("E2 memoised %d cells, want %d", cells, want)
+	}
 	if _, err := s.Run("E4"); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.r.traces.Len(); got != captured {
 		t.Errorf("E4 grew the trace cache %d -> %d; want reuse", captured, got)
 	}
-	if s.r.singles.Len() == 0 {
-		t.Error("single-core baseline cache empty after E2+E4")
+	if got, want := s.r.memo.Len()-cells, 4*captured; got != want {
+		t.Errorf("E4 added %d cells to the memo, want %d", got, want)
 	}
 }

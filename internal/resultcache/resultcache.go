@@ -222,6 +222,14 @@ func (s *Store) GetOrComputeIf(key string, fn func() ([]byte, bool, error)) (pay
 		<-f.done
 		return f.data, false, f.err
 	}
+	// A leader may have stored the entry and retired its flight between
+	// the Get above and this lookup (it Puts before it deletes the
+	// flight); read again before computing, or the key computes twice.
+	if data, err := readEntry(s.path(key)); err == nil {
+		s.mu.Unlock()
+		s.hits.Add(1)
+		return data, true, nil
+	}
 	f := &flight{done: make(chan struct{})}
 	s.flights[key] = f
 	s.mu.Unlock()

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"os"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -188,6 +189,48 @@ func TestGetOrComputeSingleFlight(t *testing.T) {
 	// The flight's result persisted: a later Get is a disk hit.
 	if _, ok := s.Get(key); !ok {
 		t.Fatal("single-flight result was not persisted")
+	}
+}
+
+// TestGetOrComputeLateFollower forces the interleaving behind the old
+// double computation: a caller misses the store, and before it looks up
+// the flights a leader computes, persists and retires its flight. The
+// late caller must read the leader's entry, not compute again.
+func TestGetOrComputeLateFollower(t *testing.T) {
+	s := openTestStore(t)
+	key := Key("e/1", []byte("c"), []byte("t"), "late-follower")
+	// Holding the flight lock parks the caller between its store miss
+	// and its flight lookup; the miss counter says when it got there.
+	s.mu.Lock()
+	type result struct {
+		data []byte
+		hit  bool
+		err  error
+	}
+	done := make(chan result, 1)
+	var computes atomic.Int64
+	go func() {
+		data, hit, err := s.GetOrCompute(key, func() ([]byte, error) {
+			computes.Add(1)
+			return []byte("recomputed"), nil
+		})
+		done <- result{data, hit, err}
+	}()
+	for s.Stats().Misses == 0 {
+		runtime.Gosched()
+	}
+	// The leader's whole flight fits in this window: it persists the
+	// entry, then retires its flight (there is none left to find).
+	if err := s.Put(key, []byte("result")); err != nil {
+		t.Fatal(err)
+	}
+	s.mu.Unlock()
+	r := <-done
+	if r.err != nil || !r.hit || string(r.data) != "result" {
+		t.Fatalf("late follower: %q hit=%v err=%v; want the leader's entry as a hit", r.data, r.hit, r.err)
+	}
+	if n := computes.Load(); n != 0 {
+		t.Fatalf("late follower computed the key again (%d times)", n)
 	}
 }
 

@@ -63,6 +63,45 @@ func TestCacheDistinctKeys(t *testing.T) {
 	}
 }
 
+// TestCachePanicReleasesFlight checks a panicking computation neither
+// pins its key nor strands its waiters: the panic reaches the computing
+// caller, a caller that joined the flight gets a *PanicError, and the
+// next Do recomputes.
+func TestCachePanicReleasesFlight(t *testing.T) {
+	var c sched.Cache[string, int]
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	recovered := make(chan any, 1)
+	go func() {
+		defer func() { recovered <- recover() }()
+		c.Do("k", func() (int, error) {
+			close(entered)
+			<-release
+			panic("engine bug")
+		})
+	}()
+	<-entered
+	joined := make(chan error, 1)
+	go func() {
+		// Joins the flight unless it already ended, in which case it
+		// computes the value itself; either way it must return.
+		_, err := c.Do("k", func() (int, error) { return 1, nil })
+		joined <- err
+	}()
+	close(release)
+	if p := <-recovered; p != "engine bug" {
+		t.Fatalf("computing caller recovered %v, want the panic", p)
+	}
+	var pe *sched.PanicError
+	if err := <-joined; err != nil && !errors.As(err, &pe) {
+		t.Fatalf("waiter error = %v, want nil or a *PanicError", err)
+	}
+	v, err := c.Do("k", func() (int, error) { return 7, nil })
+	if err != nil || (v != 7 && v != 1) {
+		t.Fatalf("Do after the panic = %d, %v", v, err)
+	}
+}
+
 // TestCacheErrorRetry checks a failed computation is not cached: the
 // error reaches the caller and the next Do retries.
 func TestCacheErrorRetry(t *testing.T) {

@@ -68,34 +68,20 @@ func cellStatsFrom(ctx context.Context) *cellStats {
 	return st
 }
 
-// cellConfig canonicalises a machine configuration for a cell key:
-// sections the mode never reads are blanked, so a single-core cell of
-// an Fg-STP fabric sweep shares its key (and its cached result) with
-// the same cell of every other fabric variant. This is the same
-// invariance the in-session baseline caches rely on (see runner in
-// internal/experiments): single-core runs read only Core+Hier, Core
-// Fusion runs additionally read Fusion, only Fg-STP runs read the
-// fabric parameters.
-func cellConfig(m config.Machine, mode cmp.Mode) ([]byte, error) {
-	switch mode {
-	case cmp.ModeSingle:
-		m.Fusion = config.FusionOverheads{}
-		m.FgSTP = config.FgSTP{}
-	case cmp.ModeFusion:
-		m.FgSTP = config.FgSTP{}
-	}
-	return m.ToJSON()
-}
-
 // cellKey content-addresses one simulation cell: engine version,
-// canonical cell config and the trace hash pin the simulation inputs
+// canonical cell config (experiments.CellConfig, the identity the
+// session memo uses too) and the trace hash pin the simulation inputs
 // exactly (the trace hash subsumes workload identity and instruction
 // budget — same bytes, same result); the mode and workload name ride
 // along for debuggability. traceSum is the SHA-256 key of the captured
 // trace bytes, hashed once per workload per request, not per cell.
-func cellKey(cfgJSON []byte, traceSum string, mode cmp.Mode, workload string) string {
+func cellKey(m config.Machine, mode cmp.Mode, workload, traceSum string) (string, error) {
+	cfgJSON, err := experiments.CellConfig(m, mode)
+	if err != nil {
+		return "", err
+	}
 	return resultcache.Key(cmp.EngineVersion, cfgJSON, []byte(traceSum),
-		"cell", string(mode), workload)
+		"cell", string(mode), workload), nil
 }
 
 // runCell simulates one cell directly on the engine, folding its
@@ -146,15 +132,14 @@ func (s *Server) cellRunner(st *cellStats) experiments.CellFunc {
 			st.runs.Add(1)
 		}
 		s.nCellRuns.Add(1)
-		cfgJSON, err := cellConfig(m, mode)
+		sum, err := sumOf(w, tr)
 		if err != nil {
 			return s.runCell(m, mode, tr) // unkeyable, run uncached
 		}
-		sum, err := sumOf(w, tr)
+		key, err := cellKey(m, mode, w.Name, sum)
 		if err != nil {
 			return s.runCell(m, mode, tr)
 		}
-		key := cellKey(cfgJSON, sum, mode, w.Name)
 		// computed captures the fresh run when its JSON encoding cannot
 		// be persisted (NaN/Inf counters): the simulation still succeeded
 		// and its result must be served, just not memoised.

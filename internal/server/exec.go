@@ -288,9 +288,9 @@ type engineExecutor struct{ srv *Server }
 
 func (e engineExecutor) Bench(ctx context.Context, req *BenchRequest) ([]byte, int, error) {
 	// A fresh session per request: sessions are single-goroutine (their
-	// trace/baseline caches are shared within one evaluation, which is
+	// trace and cell caches are shared within one evaluation, which is
 	// exactly one request here), and per-request state is what keeps one
-	// tenant's poisoned run out of another's baselines.
+	// tenant's poisoned run out of another's cells.
 	session := experiments.NewSession(req.Insts, req.Jobs)
 	if req.Inject != "" {
 		session.Poison(req.Inject)

@@ -178,10 +178,6 @@ func TestSweepBenchCacheShared(t *testing.T) {
 // mirror of cellRunner's key derivation.
 func cellKeyFor(t *testing.T, m config.Machine, mode cmp.Mode, workload string, insts uint64) string {
 	t.Helper()
-	cfgJSON, err := cellConfig(m, mode)
-	if err != nil {
-		t.Fatal(err)
-	}
 	w, ok := workloads.ByName(workload)
 	if !ok {
 		t.Fatalf("unknown workload %q", workload)
@@ -190,7 +186,11 @@ func cellKeyFor(t *testing.T, m config.Machine, mode cmp.Mode, workload string, 
 	if err := w.Trace(insts).Save(&tb); err != nil {
 		t.Fatal(err)
 	}
-	return cellKey(cfgJSON, resultcache.Key("trace", nil, tb.Bytes()), mode, workload)
+	key, err := cellKey(m, mode, workload, resultcache.Key("trace", nil, tb.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return key
 }
 
 // entryPath mirrors the store's sharded layout (resultcache.Store.path

@@ -39,6 +39,8 @@
 #                   whole sweep served from cache (zero cells run);
 #                   finally SIGTERM with a job in flight must drain
 #                   gracefully — the job finishes, the daemon exits 0
+#   signal smoke    SIGTERM sent the moment /readyz answers 200 must
+#                   drain, not kill: the daemon exits 0, "drained cleanly"
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -190,5 +192,22 @@ trap 'rm -rf "$tmp"' EXIT
     echo "fgstpd drain exited $status, want 0"; cat "$tmp/fgstpd.log"; exit 1; }
 go run ./scripts/jsoncheck <"$tmp/inflight.json"
 [ -s "$tmp/cache/index.json" ] || { echo "drained daemon left no cache index"; exit 1; }
+
+echo "== signal smoke (SIGTERM as soon as /readyz answers drains cleanly)"
+"$tmp/fgstpd" serve -addr 127.0.0.1:0 -portfile "$tmp/ready.port" 2>"$tmp/ready.log" &
+daemon=$!
+trap 'kill "$daemon" 2>/dev/null || true; rm -rf "$tmp"' EXIT
+i=0
+until [ -s "$tmp/ready.port" ] && "$tmp/fgstpd" health -addr "$(cat "$tmp/ready.port")" >/dev/null 2>&1; do
+    i=$((i+1))
+    [ "$i" -le 100 ] || { echo "fgstpd never became ready"; cat "$tmp/ready.log"; exit 1; }
+    sleep 0.1
+done
+kill -TERM "$daemon"
+status=0
+wait "$daemon" || status=$?
+trap 'rm -rf "$tmp"' EXIT
+[ "$status" -eq 0 ] && grep -q 'drained cleanly' "$tmp/ready.log" || {
+    echo "SIGTERM after readiness: fgstpd exited $status, want 0 and a clean drain"; cat "$tmp/ready.log"; exit 1; }
 
 echo "check: ok"
