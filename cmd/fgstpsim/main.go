@@ -274,7 +274,7 @@ func run() int {
 // events as a Chrome trace-event file (Perfetto, chrome://tracing).
 func writeChromeTrace(path string, m config.Machine, md cmp.Mode, tr *trace.Trace) error {
 	rec := &metrics.Recorder{}
-	if _, err := cmp.RunTraced(m, md, tr, rec); err != nil {
+	if _, err := cmp.RunOpts(m, md, tr, cmp.Options{Sink: rec}); err != nil {
 		return err
 	}
 	f, err := os.Create(path)
@@ -293,10 +293,9 @@ func writeChromeTrace(path string, m config.Machine, md cmp.Mode, tr *trace.Trac
 // printHotBlockFooter aggregates the per-mode replay telemetry into a
 // metrics registry under the hotblock_* export names and reports replay
 // coverage on stderr — the side channel keeps the stdout report
-// byte-identical with memoization on or off. All three modes
-// contribute: single and corefusion through the per-core engine, fgstp
-// through the joint pair-template engine (whose replays are broken out
-// as hotblock_replays_pair).
+// byte-identical with memoization on or off. Only single and
+// corefusion replay; fgstp cycles count toward the coverage denominator
+// but the pair's hooked cores never replay.
 func printHotBlockFooter(ctrs []hotblock.Counters, modes []cmp.Mode, runs []stats.Run, errs []error) {
 	var agg hotblock.Counters
 	var cycles uint64
@@ -312,8 +311,8 @@ func printHotBlockFooter(ctrs []hotblock.Counters, modes []cmp.Mode, runs []stat
 	if cycles > 0 {
 		cov = 100 * float64(agg.ReplayedCycles) / float64(cycles)
 	}
-	fmt.Fprintf(os.Stderr, "fgstpsim: hotblock replay coverage %.1f%% (%d of %d cycles, %d replays of %d templates, %d pair replays)\n",
-		cov, agg.ReplayedCycles, cycles, agg.Replays, agg.Templates, agg.ReplaysPair)
+	fmt.Fprintf(os.Stderr, "fgstpsim: hotblock replay coverage %.1f%% (%d of %d cycles, %d replays of %d templates)\n",
+		cov, agg.ReplayedCycles, cycles, agg.Replays, agg.Templates)
 	for _, s := range reg.Sorted() {
 		fmt.Fprintf(os.Stderr, "fgstpsim:   %-32s %.0f\n", s.Name, s.Value)
 	}

@@ -17,7 +17,6 @@ import (
 	"repro/internal/ooo"
 	"repro/internal/stats"
 	"repro/internal/trace"
-	"repro/internal/workloads"
 )
 
 // EngineVersion identifies the timing semantics of the simulation
@@ -77,7 +76,7 @@ var ErrLivelock = ooo.ErrLivelock
 type Faults = core.Faults
 
 // Options bundles the optional knobs of a run: fault injection, event
-// instrumentation, and hot-block memoization. The zero value reproduces
+// instrumentation, and hot-block telemetry. The zero value reproduces
 // Run.
 type Options struct {
 	// Faults optionally injects deterministic faults into the run; only
@@ -85,18 +84,13 @@ type Options struct {
 	Faults Faults
 	// Sink receives pipeline events from the machine under test;
 	// attaching one disables hot-block replay (replayed spans emit no
-	// per-uop events).
+	// per-uop events). The events render into a Chrome trace via
+	// metrics.WriteChromeTrace.
 	Sink metrics.Sink
-	// DisableHotBlock forces the plain engine for this run regardless of
-	// the process-wide default (hotblock.SetDefaultDisabled). Memoization
-	// engages in all three modes: single-core and corefusion runs use the
-	// per-core engine, and the Fg-STP pair uses the joint pair-template
-	// engine that captures both cores and the channel together (see
-	// core.RunOptions).
-	DisableHotBlock bool
-	// HotBlockConfig overrides the memoization knobs; nil means defaults.
-	HotBlockConfig *hotblock.Config
-	// HotBlock, when non-nil, receives the run's replay telemetry. The
+	// HotBlock, when non-nil, receives the run's replay telemetry.
+	// Memoization engages in the single and corefusion modes unless the
+	// process-wide default disables it (hotblock.SetDefaultDisabled);
+	// the Fg-STP pair never replays, so its counters stay zero. The
 	// telemetry never enters the stats.Run summary: experiment output is
 	// byte-identical with memoization on and off.
 	HotBlock *hotblock.Counters
@@ -105,19 +99,6 @@ type Options struct {
 // Run simulates tr on machine m in the given mode.
 func Run(m config.Machine, mode Mode, tr *trace.Trace) (stats.Run, error) {
 	return RunOpts(m, mode, tr, Options{})
-}
-
-// RunFaulty simulates like Run with a fault injector installed (nil
-// behaves exactly like Run).
-func RunFaulty(m config.Machine, mode Mode, tr *trace.Trace, f Faults) (stats.Run, error) {
-	return RunOpts(m, mode, tr, Options{Faults: f})
-}
-
-// RunTraced simulates like Run with a pipeline event sink attached to
-// the machine under test (nil behaves exactly like Run); the events
-// render into a Chrome trace via metrics.WriteChromeTrace.
-func RunTraced(m config.Machine, mode Mode, tr *trace.Trace, sink metrics.Sink) (stats.Run, error) {
-	return RunOpts(m, mode, tr, Options{Sink: sink})
 }
 
 // RunOpts simulates tr on machine m in the given mode under the full
@@ -131,79 +112,27 @@ func RunOpts(m config.Machine, mode Mode, tr *trace.Trace, opts Options) (stats.
 	}
 	switch mode {
 	case ModeSingle:
-		return ooo.RunTraceWith(m.Core, m.Hier, tr, ooo.RunOptions{
-			Sink:            opts.Sink,
-			DisableHotBlock: opts.DisableHotBlock,
-			HotBlockConfig:  opts.HotBlockConfig,
-			HotBlock:        opts.HotBlock,
-		})
+		return ooo.RunTraceWith(m.Core, m.Hier, tr, ooo.RunOptions{Sink: opts.Sink, HotBlock: opts.HotBlock})
 	case ModeFusion:
-		return corefusion.RunWith(m, tr, ooo.RunOptions{
-			Sink:            opts.Sink,
-			DisableHotBlock: opts.DisableHotBlock,
-			HotBlockConfig:  opts.HotBlockConfig,
-			HotBlock:        opts.HotBlock,
-		})
+		return corefusion.RunWith(m, tr, ooo.RunOptions{Sink: opts.Sink, HotBlock: opts.HotBlock})
 	case ModeFgSTP:
-		return core.RunWith(m, tr, core.RunOptions{
-			Faults:          opts.Faults,
-			Sink:            opts.Sink,
-			DisableHotBlock: opts.DisableHotBlock,
-			HotBlockConfig:  opts.HotBlockConfig,
-			HotBlock:        opts.HotBlock,
-		})
+		return core.RunWith(m, tr, core.RunOptions{Faults: opts.Faults, Sink: opts.Sink})
 	default:
 		return stats.Run{}, fmt.Errorf("unknown mode %q", mode)
 	}
 }
 
-// RunWorkload captures a fresh trace of the named workload and runs it.
-func RunWorkload(m config.Machine, mode Mode, workload string, insts uint64) (stats.Run, error) {
-	w, ok := workloads.ByName(workload)
-	if !ok {
-		return stats.Run{}, fmt.Errorf("unknown workload %q", workload)
-	}
-	tr := w.Trace(insts)
-	if uint64(tr.Len()) < insts {
-		return stats.Run{}, fmt.Errorf("workload %q yielded only %d of %d instructions",
-			workload, tr.Len(), insts)
-	}
-	return Run(m, mode, tr)
-}
-
-// ModeResult pairs an execution mode with its run summary.
-type ModeResult struct {
-	Mode Mode
-	Run  stats.Run
-}
-
-// RunModes runs tr in every execution mode and returns the results in
-// Modes() comparison order — the deterministic form of RunAll for
-// callers that iterate rather than index.
-func RunModes(m config.Machine, tr *trace.Trace) ([]ModeResult, error) {
-	out := make([]ModeResult, 0, len(Modes()))
+// RunAll runs tr in every mode and returns the results keyed by mode.
+// Map iteration order is random: callers producing ordered output must
+// index by mode in Modes() order.
+func RunAll(m config.Machine, tr *trace.Trace) (map[Mode]stats.Run, error) {
+	out := make(map[Mode]stats.Run, len(Modes()))
 	for _, mode := range Modes() {
 		r, err := Run(m, mode, tr)
 		if err != nil {
 			return nil, fmt.Errorf("mode %s: %w", mode, err)
 		}
-		out = append(out, ModeResult{Mode: mode, Run: r})
-	}
-	return out, nil
-}
-
-// RunAll runs tr in every mode and returns the results keyed by mode.
-// Map iteration order is random: callers producing ordered output must
-// index by mode (or use RunModes, which returns results in comparison
-// order).
-func RunAll(m config.Machine, tr *trace.Trace) (map[Mode]stats.Run, error) {
-	ordered, err := RunModes(m, tr)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[Mode]stats.Run, len(ordered))
-	for _, mr := range ordered {
-		out[mr.Mode] = mr.Run
+		out[mode] = r
 	}
 	return out, nil
 }

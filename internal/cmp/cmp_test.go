@@ -39,17 +39,22 @@ func TestRunRejectsBadInput(t *testing.T) {
 	}
 }
 
+// A workload's captured trace runs to its full instruction budget and
+// is labelled with the workload's name.
 func TestRunWorkload(t *testing.T) {
-	m := config.Small()
-	r, err := RunWorkload(m, ModeSingle, "gcc", 5_000)
+	w, ok := workloads.ByName("gcc")
+	if !ok {
+		t.Fatal("workload gcc missing")
+	}
+	r, err := Run(config.Small(), ModeSingle, w.Trace(5_000))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r.Insts != 5_000 {
 		t.Errorf("insts = %d", r.Insts)
 	}
-	if _, err := RunWorkload(m, ModeSingle, "doom", 5_000); err == nil {
-		t.Error("unknown workload accepted")
+	if r.Workload != "gcc" {
+		t.Errorf("run labelled %q", r.Workload)
 	}
 }
 
@@ -130,29 +135,14 @@ func TestSingleModeIgnoresFabric(t *testing.T) {
 	}
 }
 
-// TestRunModesOrdering checks RunModes returns results in Modes()
-// comparison order and that RunAll agrees with it mode by mode —
-// callers of RunAll must index the map (iteration order is random),
-// and this pins the ordered path they should use for output.
+// TestRunModesOrdering checks that RunAll runs every mode of Modes()
+// and keys each result by the mode that produced it: iterating Modes()
+// in comparison order over the map must give exactly the per-mode Run
+// results — the ordered path callers of RunAll use for output.
 func TestRunModesOrdering(t *testing.T) {
 	w, _ := workloads.ByName("astar")
 	tr := w.Trace(2_000)
 	m := config.Small()
-	ordered, err := RunModes(m, tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ordered) != len(Modes()) {
-		t.Fatalf("RunModes returned %d results", len(ordered))
-	}
-	for i, mode := range Modes() {
-		if ordered[i].Mode != mode {
-			t.Errorf("ordered[%d].Mode = %s, want %s", i, ordered[i].Mode, mode)
-		}
-		if ordered[i].Run.Mode != string(mode) {
-			t.Errorf("ordered[%d].Run.Mode = %q", i, ordered[i].Run.Mode)
-		}
-	}
 	all, err := RunAll(m, tr)
 	if err != nil {
 		t.Fatal(err)
@@ -160,14 +150,20 @@ func TestRunModesOrdering(t *testing.T) {
 	if len(all) != len(Modes()) {
 		t.Fatalf("RunAll returned %d results", len(all))
 	}
-	for _, mr := range ordered {
-		got, ok := all[mr.Mode]
+	for _, mode := range Modes() {
+		got, ok := all[mode]
 		if !ok {
-			t.Fatalf("RunAll missing mode %s", mr.Mode)
+			t.Fatalf("RunAll missing mode %s", mode)
 		}
-		if got.Cycles != mr.Run.Cycles || got.Insts != mr.Run.Insts {
-			t.Errorf("mode %s: RunAll (%d cyc) != RunModes (%d cyc)",
-				mr.Mode, got.Cycles, mr.Run.Cycles)
+		if got.Mode != string(mode) {
+			t.Errorf("all[%s].Mode = %q", mode, got.Mode)
+		}
+		want, err := Run(m, mode, tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Cycles != want.Cycles || got.Insts != want.Insts {
+			t.Errorf("mode %s: RunAll (%d cyc) != Run (%d cyc)", mode, got.Cycles, want.Cycles)
 		}
 	}
 }

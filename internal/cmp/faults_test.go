@@ -1,6 +1,7 @@
 package cmp
 
 import (
+	"encoding/json"
 	"errors"
 	"strings"
 	"testing"
@@ -21,7 +22,7 @@ func TestInjectedStallTripsWatchdog(t *testing.T) {
 	w, _ := workloads.ByName("gobmk")
 	tr := w.Trace(3000)
 	stall := faults.ChannelStall(0)
-	_, err := RunFaulty(config.Medium(), ModeFgSTP, tr, stall)
+	_, err := RunOpts(config.Medium(), ModeFgSTP, tr, Options{Faults: stall})
 	if err == nil {
 		t.Fatal("stalled machine completed")
 	}
@@ -68,8 +69,8 @@ func TestInjectedStallTripsWatchdog(t *testing.T) {
 func TestInjectedLivelockDeterministic(t *testing.T) {
 	w, _ := workloads.ByName("gobmk")
 	tr := w.Trace(2000)
-	_, err1 := RunFaulty(config.Small(), ModeFgSTP, tr, faults.ChannelStall(0))
-	_, err2 := RunFaulty(config.Small(), ModeFgSTP, tr, faults.ChannelStall(0))
+	_, err1 := RunOpts(config.Small(), ModeFgSTP, tr, Options{Faults: faults.ChannelStall(0)})
+	_, err2 := RunOpts(config.Small(), ModeFgSTP, tr, Options{Faults: faults.ChannelStall(0)})
 	if err1 == nil || err2 == nil {
 		t.Fatal("stalled machine completed")
 	}
@@ -78,21 +79,28 @@ func TestInjectedLivelockDeterministic(t *testing.T) {
 	}
 }
 
-// A nil injector must behave exactly like Run.
-func TestRunFaultyNilMatchesRun(t *testing.T) {
+// An installed injector that never fires must behave exactly like Run.
+// Any injector turns off the machine's event skip, so this also pins
+// the faulted (ticked) drain to the clean (skipping) one.
+func TestDormantFaultMatchesRun(t *testing.T) {
 	w, _ := workloads.ByName("soplex")
 	tr := w.Trace(2000)
 	a, err := Run(config.Small(), ModeFgSTP, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunFaulty(config.Small(), ModeFgSTP, tr, nil)
+	stall := faults.ChannelStall(1 << 40)
+	b, err := RunOpts(config.Small(), ModeFgSTP, tr, Options{Faults: stall})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Cycles != b.Cycles || a.Insts != b.Insts {
-		t.Errorf("nil injector changed the run: %d/%d vs %d/%d cycles/insts",
-			a.Cycles, a.Insts, b.Cycles, b.Insts)
+	if stall.Polls() != 0 {
+		t.Fatalf("dormant stall refused %d grants", stall.Polls())
+	}
+	aj, _ := json.Marshal(a)
+	bj, _ := json.Marshal(b)
+	if string(aj) != string(bj) {
+		t.Errorf("dormant injector changed the run\n clean:   %s\n faulted: %s", aj, bj)
 	}
 }
 

@@ -145,37 +145,6 @@ func (c *channel) grant(t int64) int64 {
 	return slot + c.latency
 }
 
-// probeGrant computes the delivery cycle grant(t) would return, without
-// granting: pending probe grants live in delta (slot -> extra count),
-// which the caller reuses across one precheck pass. The slot walk is
-// the same bandwidth/queue loop as grant's; get() already answers
-// correctly for slots on either side of the ring window, and neither
-// the slide nor the prune changes any count a probe can observe, so the
-// probed slot equals the slot the real grant will take when the
-// hot-block replay re-performs the sequence for real.
-func (c *channel) probeGrant(delta map[int64]int32, t int64) int64 {
-	slot := t
-	for {
-		if int(c.get(slot))+int(delta[slot]) >= c.bandwidth {
-			slot++
-			continue
-		}
-		if c.latency > 0 {
-			occ := 1
-			for x := slot - c.latency + 1; x <= slot; x++ {
-				occ += int(c.get(x)) + int(delta[x])
-			}
-			if occ > c.queue {
-				slot++
-				continue
-			}
-		}
-		break
-	}
-	delta[slot]++
-	return slot + c.latency
-}
-
 // maybePrune drops grant-table entries far older than the current
 // request time; requests never go backwards by more than a pipeline's
 // worth of cycles. The policy is identical to the map-based table's:

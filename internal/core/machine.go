@@ -148,13 +148,6 @@ type Machine struct {
 	lastSquashGSeq  uint64
 	lastSquashCycle int64
 
-	// phb, when non-nil, is the joint hot-block memoization controller
-	// (EnablePairHotBlock); lastCommitCycle is the cycle the global
-	// commit pointer last advanced — the drain watchdog's progress
-	// anchor after a replayed span.
-	phb             *pairCtl
-	lastCommitCycle int64
-
 	// Stats.
 	CrossViolations uint64
 	GlobalSquashes  uint64
@@ -331,9 +324,6 @@ func (m *Machine) applySquash(now int64) {
 	// Every per-gseq record keys a gseq below the delivery frontier;
 	// capture it before the rewind moves it back to g.
 	hi := m.seq.pos
-	if m.phb != nil {
-		m.pairOnSquash(g, hi)
-	}
 	m.cores[0].SquashFrom(g, now)
 	m.cores[1].SquashFrom(g, now)
 	m.seq.rewind(g, now)
@@ -393,9 +383,6 @@ func (h *coreHooks) ExtReadyAt(u *ooo.UOp, srcIdx int, now int64) int64 {
 	}
 	p := u.Item.Deps[srcIdx].Producer
 	if t, ok := m.deliver[h.id].Get(p); ok {
-		if hb := m.phb; hb != nil && hb.capturing {
-			hb.recDeliv(h.id, p, u.GSeq(), srcIdx, t, now)
-		}
 		return t
 	}
 	ct, ok := m.completeAt.Get(p)
@@ -406,9 +393,6 @@ func (h *coreHooks) ExtReadyAt(u *ooo.UOp, srcIdx int, now int64) int64 {
 			// the committed state merge; charge one transfer from now.
 			t := m.chans[h.id].grant(now)
 			m.deliver[h.id].Put(p, t)
-			if hb := m.phb; hb != nil && hb.capturing {
-				hb.recGrant(h.id, p, u.GSeq(), srcIdx, false, now, t)
-			}
 			m.emitTransfer(now, t, h.id, p)
 			return t
 		}
@@ -416,9 +400,6 @@ func (h *coreHooks) ExtReadyAt(u *ooo.UOp, srcIdx int, now int64) int64 {
 	}
 	t := m.chans[h.id].grant(ct)
 	m.deliver[h.id].Put(p, t)
-	if hb := m.phb; hb != nil && hb.capturing {
-		hb.recGrant(h.id, p, u.GSeq(), srcIdx, true, ct, t)
-	}
 	m.emitTransfer(ct, t, h.id, p)
 	return t
 }
@@ -482,11 +463,7 @@ func (h *coreHooks) LoadGate(u *ooo.UOp, now int64) (ok, speculative bool) {
 		}
 		return true, false
 	}
-	wait := m.depPred.MustWait(u.DI().PC)
-	if hb := m.phb; hb != nil && hb.capturing && hb.mdepTable {
-		hb.recMDep(u.GSeq(), wait)
-	}
-	if wait {
+	if m.depPred.MustWait(u.DI().PC) {
 		m.GatedLoads++
 		return false, false
 	}
@@ -513,9 +490,6 @@ func (h *coreHooks) OnIssue(u *ooo.UOp, now int64) {
 	m := h.m
 	if !u.Item.Replica {
 		m.completeAt.Put(u.GSeq(), u.CompleteAt())
-		if hb := m.phb; hb != nil && hb.capturing {
-			hb.recIssue(u.GSeq(), u.CompleteAt())
-		}
 	}
 	if u.DI().IsStore() {
 		m.pendingStores[h.id].markIssued(u.GSeq())
@@ -570,7 +544,6 @@ func (h *coreHooks) OnCommit(u *ooo.UOp, now int64) {
 	m := h.m
 	n, _ := m.commitsDone.Get(u.GSeq())
 	m.commitsDone.Put(u.GSeq(), n+1)
-	before := m.nextCommit
 	for m.nextCommit < uint64(m.tr.Len()) {
 		c, _ := m.commitsDone.Get(m.nextCommit)
 		if int(c) != m.expected(m.nextCommit) {
@@ -578,9 +551,6 @@ func (h *coreHooks) OnCommit(u *ooo.UOp, now int64) {
 		}
 		m.commitsDone.Delete(m.nextCommit)
 		m.nextCommit++
-	}
-	if m.nextCommit != before {
-		m.lastCommitCycle = now
 	}
 }
 

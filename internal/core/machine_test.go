@@ -48,7 +48,7 @@ func TestFgstpCommitsEverything(t *testing.T) {
 	for _, preset := range []config.Machine{config.Small(), config.Medium()} {
 		for _, w := range workloads.All() {
 			tr := w.Trace(8_000)
-			r, err := Run(preset, tr)
+			r, err := RunWith(preset, tr, RunOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -14,7 +14,7 @@ import (
 
 func mustRun(tb testing.TB, m config.Machine, tr *trace.Trace) stats.Run {
 	tb.Helper()
-	r, err := Run(m, tr)
+	r, err := RunWith(m, tr, ooo.RunOptions{})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestFusedMispredictPenaltyDeeper(t *testing.T) {
 
 func singleCycles(t *testing.T, m config.Machine, tr *trace.Trace) uint64 {
 	t.Helper()
-	r, err := ooo.RunTrace(m.Core, m.Hier, tr)
+	r, err := ooo.RunTraceWith(m.Core, m.Hier, tr, ooo.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

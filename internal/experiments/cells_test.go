@@ -123,8 +123,9 @@ func TestCellRunnerByteIdentity(t *testing.T) {
 
 // TestSessionHotBlockTelemetry: a session-level telemetry sink
 // aggregates the hot-block counters of every directly simulated cell —
-// nonzero pair replays at a budget where the loop-heavy workloads arm —
-// without perturbing the rendered document by a byte.
+// nonzero single and corefusion replays at a budget where the
+// loop-heavy workloads arm — without perturbing the rendered document
+// by a byte.
 func TestSessionHotBlockTelemetry(t *testing.T) {
 	const insts = 20_000
 	render := func(s *Session) []byte {
@@ -147,7 +148,7 @@ func TestSessionHotBlockTelemetry(t *testing.T) {
 	if !bytes.Equal(want, got) {
 		t.Fatal("telemetry sink changed the rendered document")
 	}
-	if hb.Templates == 0 || hb.Replays == 0 || hb.ReplaysPair == 0 || hb.ReplayedInsts == 0 {
+	if hb.Templates == 0 || hb.Replays == 0 || hb.ReplayedInsts == 0 {
 		t.Errorf("session telemetry missing replays: %+v", hb)
 	}
 }

@@ -138,7 +138,7 @@ func (r *runner) traceOf(w workloads.Workload) *trace.Trace {
 // so concurrent cells never share one.
 func (r *runner) runOf(m config.Machine, mode cmp.Mode, w workloads.Workload) (stats.Run, error) {
 	if mode == cmp.ModeFgSTP && w.Name == r.poison {
-		return cmp.RunFaulty(m, mode, r.traceOf(w), faults.ChannelStall(0))
+		return cmp.RunOpts(m, mode, r.traceOf(w), cmp.Options{Faults: faults.ChannelStall(0)})
 	}
 	return r.cellRun(m, mode, w)
 }

@@ -203,12 +203,8 @@ type Counters struct {
 	ReplayedInsts uint64
 	// TemplatesPeriodic counts the subset of Templates captured with a
 	// recurring miss pattern (the all-hit precondition relaxed to a
-	// probe-proven recurring hierarchy response); TemplatesPair and
-	// ReplaysPair count the Fg-STP pair engine's joint two-core
-	// templates and their replays (subsets of Templates/Replays).
+	// probe-proven recurring hierarchy response).
 	TemplatesPeriodic uint64
-	TemplatesPair     uint64
-	ReplaysPair       uint64
 	// InvalidationsSquash counts templates dropped (or captures
 	// aborted) because a squash crossed the block; InvalidationsPrecond
 	// counts failed replay precondition checks.
@@ -218,23 +214,20 @@ type Counters struct {
 	// refused: the watchdog/trace window, the normalized state vector,
 	// the span shape or address partition, the hierarchy response (the
 	// all-hit lookup or the miss-pattern probe), the branch predictor
-	// overlay, the dependence predictor, and the pair engine's joint
-	// checks (steer decisions, channel schedule, delivery/completion
-	// tables). They sum to InvalidationsPrecond.
+	// overlay, and the dependence predictor. They sum to
+	// InvalidationsPrecond.
 	PrecondWindow uint64
 	PrecondVector uint64
 	PrecondShape  uint64
 	PrecondCache  uint64
 	PrecondPred   uint64
 	PrecondDep    uint64
-	PrecondPair   uint64
 	// AbortsSpanLimit counts capture attempts aborted for exceeding the
 	// span bounds without recurrence; AbortsUnsteady those aborted by a
 	// non-recurring event (squash-free poison: mispredict, violation,
 	// dependence-table clear). DeclinedVisibility counts cores that
-	// refused to engage an engine because their state is not locally
-	// visible (cross-core hooks or an external sequencer without the
-	// pair engine, store-set mode, fault injection).
+	// refused to engage the engine because their state is not locally
+	// visible (cross-core hooks or an external sequencer).
 	AbortsSpanLimit    uint64
 	AbortsUnsteady     uint64
 	DeclinedVisibility uint64
@@ -247,8 +240,6 @@ func (c *Counters) Merge(o Counters) {
 	c.ReplayedCycles += o.ReplayedCycles
 	c.ReplayedInsts += o.ReplayedInsts
 	c.TemplatesPeriodic += o.TemplatesPeriodic
-	c.TemplatesPair += o.TemplatesPair
-	c.ReplaysPair += o.ReplaysPair
 	c.InvalidationsSquash += o.InvalidationsSquash
 	c.InvalidationsPrecond += o.InvalidationsPrecond
 	c.PrecondWindow += o.PrecondWindow
@@ -257,7 +248,6 @@ func (c *Counters) Merge(o Counters) {
 	c.PrecondCache += o.PrecondCache
 	c.PrecondPred += o.PrecondPred
 	c.PrecondDep += o.PrecondDep
-	c.PrecondPair += o.PrecondPair
 	c.AbortsSpanLimit += o.AbortsSpanLimit
 	c.AbortsUnsteady += o.AbortsUnsteady
 	c.DeclinedVisibility += o.DeclinedVisibility
@@ -271,8 +261,6 @@ func (c *Counters) AddTo(reg *metrics.Registry) {
 	reg.Set("hotblock_replayed_cycles", float64(c.ReplayedCycles))
 	reg.Set("hotblock_replayed_insts", float64(c.ReplayedInsts))
 	reg.Set("hotblock_templates_periodic", float64(c.TemplatesPeriodic))
-	reg.Set("hotblock_templates_pair", float64(c.TemplatesPair))
-	reg.Set("hotblock_replays_pair", float64(c.ReplaysPair))
 	reg.Set("hotblock_invalidations_squash", float64(c.InvalidationsSquash))
 	reg.Set("hotblock_invalidations_precond", float64(c.InvalidationsPrecond))
 	reg.Set("hotblock_precond_window", float64(c.PrecondWindow))
@@ -281,7 +269,6 @@ func (c *Counters) AddTo(reg *metrics.Registry) {
 	reg.Set("hotblock_precond_cache", float64(c.PrecondCache))
 	reg.Set("hotblock_precond_pred", float64(c.PrecondPred))
 	reg.Set("hotblock_precond_dep", float64(c.PrecondDep))
-	reg.Set("hotblock_precond_pair", float64(c.PrecondPair))
 	reg.Set("hotblock_aborts_span_limit", float64(c.AbortsSpanLimit))
 	reg.Set("hotblock_aborts_unsteady", float64(c.AbortsUnsteady))
 	reg.Set("hotblock_declined_visibility", float64(c.DeclinedVisibility))

@@ -2,7 +2,7 @@ package mem
 
 // Probe replays a recorded access sequence against the live cache state
 // without mutating it. The hot-block engine uses it to prove the
-// "recurring hierarchy response" precondition of periodic-miss and pair
+// "recurring hierarchy response" precondition of periodic-miss
 // templates: before a replay is allowed, every recorded Fetch/Load in
 // the captured span is re-simulated here and must produce the recorded
 // latency. Because the probe mirrors Hierarchy/Cache semantics exactly
@@ -151,8 +151,7 @@ func (p *Probe) Load(h *Hierarchy, addr uint64) int {
 }
 
 // Store mirrors Hierarchy.Store against the overlay, including the
-// peer-L1D invalidations (so a pair probe sees the sibling's L1D evolve
-// exactly as the real replay will make it).
+// peer-L1D invalidations of a shared-L2 hierarchy.
 func (p *Probe) Store(h *Hierarchy, addr uint64) int {
 	for _, pc := range h.peers {
 		p.invalidate(pc, pc.LineAddr(addr))

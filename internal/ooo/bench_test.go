@@ -68,6 +68,43 @@ func chaseTrace(nodes int64) *trace.Trace {
 	return trace.Capture(b.MustBuild(), 0)
 }
 
+// streamMissTrace builds a periodic L2-miss stream: a serial pointer
+// chase over an L2-resident permutation ring whose 64 KiB footprint
+// overflows the L1, traced from its timed region exactly like the
+// workload kernels (the setup pass that links the ring is
+// fast-forwarded). Every chase load misses the L1 and hits the L2 with
+// the same latency, so the hierarchy response recurs with the loop —
+// the case the periodic-miss precondition (probe-proven recurring
+// misses, not all-hits) exists for.
+func streamMissTrace(insts uint64) *trace.Trace {
+	const base, slots, stride = 0x800000, 8192, 3121
+	b := program.NewBuilder("streammiss")
+	b.Li(isa.R16, base)
+	b.Li(isa.R20, 0)
+	b.Li(isa.R21, slots)
+	b.Label("init")
+	b.Addi(isa.R22, isa.R20, stride)
+	b.Andi(isa.R22, isa.R22, slots-1)
+	b.Shli(isa.R22, isa.R22, 3)
+	b.Add(isa.R22, isa.R16, isa.R22)
+	b.Shli(isa.R23, isa.R20, 3)
+	b.Add(isa.R23, isa.R16, isa.R23)
+	b.St(isa.R22, isa.R23, 0)
+	b.Addi(isa.R20, isa.R20, 1)
+	b.Blt(isa.R20, isa.R21, "init")
+	b.Li(isa.R3, base)
+	b.Li(isa.R2, int64(insts))
+	b.Label("main")
+	b.Label("chase")
+	b.Ld(isa.R3, isa.R3, 0)
+	b.Andi(isa.R5, isa.R3, 255)
+	b.Add(isa.R4, isa.R4, isa.R5)
+	b.Addi(isa.R2, isa.R2, -1)
+	b.Bne(isa.R2, isa.R0, "chase")
+	b.Halt()
+	return trace.CaptureFromLabel(b.MustBuild(), "main", insts)
+}
+
 // memBoundHier shrinks the caches under the chase footprint and makes
 // DRAM expensive, so nearly all chase cycles are dead waiting time.
 func memBoundHier() mem.HierarchyConfig {
@@ -131,15 +168,12 @@ func steadyLoopTrace(iters int64) *trace.Trace {
 	return trace.Capture(b.MustBuild(), 0)
 }
 
-// BenchmarkLoopSteadyState measures Drain on the steady arithmetic
-// loop with hot-block memoization on (replay) and off (noreplay). The
-// noreplay side is the PR 5 engine: event-driven skipping alone, which
-// wins nothing here because a dependence-bound loop has no dead cycles
-// to skip. The replay side is the headline perf signal of the
-// hot-block work; both sides produce byte-identical reports (see
-// TestHotBlockVsTickedDifferential).
-func BenchmarkLoopSteadyState(b *testing.B) {
-	tr := steadyLoopTrace(8000)
+// benchReplay drains tr on the test core with hot-block memoization on
+// under knobs hc (replay) and off (noreplay). Both sides produce
+// byte-identical reports (see TestHotBlockVsTickedDifferential), so the
+// ratio is pure engine speedup.
+func benchReplay(b *testing.B, tr *trace.Trace, hc hotblock.Config) {
+	b.Helper()
 	cfg := testConfig()
 	hcfg := testHier()
 	run := func(b *testing.B, replay bool) {
@@ -153,7 +187,8 @@ func BenchmarkLoopSteadyState(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if replay && !core.EnableHotBlock(hotblock.Config{}, nil) {
+			var ctrs hotblock.Counters
+			if replay && !core.EnableHotBlock(hc, &ctrs) {
 				b.Fatal("EnableHotBlock declined")
 			}
 			cycles, err := Drain(core, tr.Len())
@@ -162,12 +197,35 @@ func BenchmarkLoopSteadyState(b *testing.B) {
 			}
 			if i == 0 {
 				b.ReportMetric(float64(cycles), "cycles/op")
+				if replay {
+					b.ReportMetric(float64(ctrs.Replays), "replays/op")
+				}
 			}
 		}
 		b.ReportMetric(float64(tr.Len()), "insts/op")
 	}
 	b.Run("noreplay", func(b *testing.B) { run(b, false) })
 	b.Run("replay", func(b *testing.B) { run(b, true) })
+}
+
+// BenchmarkLoopSteadyState measures Drain on the steady arithmetic
+// loop with hot-block memoization on (replay, default knobs) and off
+// (noreplay). The noreplay side is event-driven skipping alone, which
+// wins nothing here because a dependence-bound loop has no dead cycles
+// to skip. The replay side is the headline perf signal of the hot-block
+// work.
+func BenchmarkLoopSteadyState(b *testing.B) {
+	benchReplay(b, steadyLoopTrace(8000), hotblock.Config{})
+}
+
+// BenchmarkStreamingMissLoop measures the periodic-miss templates on a
+// pure streaming loop, whose every iteration misses the L1: the all-hit
+// rule would reject every span, so only the probe-proven recurring miss
+// response lets it replay. It runs at the tests' short-span knobs
+// (hbTestConfig); at the default span length the chase's L2 pattern
+// does not recur and the loop never replays.
+func BenchmarkStreamingMissLoop(b *testing.B) {
+	benchReplay(b, streamMissTrace(20_000), hbTestConfig())
 }
 
 // BenchmarkFusedCoreDrain measures the two-cluster (Core Fusion style)

@@ -224,14 +224,11 @@ type Core struct {
 
 	// Hot-block timing memoization (hotblock.go). hb is nil when
 	// disabled; hblog is non-nil only while a capture span is recording
-	// hierarchy/dep-predictor interactions (hbtag is the core id stamped
-	// on each record — 0 single-core, the core index under the pair
-	// engine); lastCommitAt is the cycle of the most recent committed
-	// instruction (the drain watchdog's progress anchor after a bulk
-	// replay).
+	// hierarchy/dep-predictor interactions; lastCommitAt is the cycle of
+	// the most recent committed instruction (the drain watchdog's
+	// progress anchor after a bulk replay).
 	hb           *hbCtl
-	hblog        *HBLog
-	hbtag        int8
+	hblog        *hbLog
 	lastCommitAt int64
 }
 
@@ -510,7 +507,7 @@ func (c *Core) fetch(now int64) {
 			if line != c.lastFetchLine {
 				lat := c.hier.Fetch(item.DI.PC)
 				if c.hblog != nil {
-					c.hblog.RecMem(c.hbtag, HBMemFetch, item.GSeq, lat)
+					c.hblog.recMem(hbMemFetch, item.GSeq, lat)
 				}
 				c.lastFetchLine = line
 				if hit := c.hier.L1I.Config().LatencyCycles; lat > hit {
@@ -1136,7 +1133,7 @@ func (c *Core) loadReady(u *UOp, now int64) (bool, int) {
 			// periodic clear).
 			wait := c.dep.MustWaitN(u.DI().PC, unissuedOlder)
 			if c.hblog != nil && c.dep.table != nil {
-				c.hblog.RecDep(c.hbtag, u.Item.GSeq, unissuedOlder, wait)
+				c.hblog.recDep(u.Item.GSeq, unissuedOlder, wait)
 			}
 			if wait {
 				return false, 0
@@ -1173,7 +1170,7 @@ func (c *Core) loadReady(u *UOp, now int64) (bool, int) {
 	}
 	lat := c.hier.Load(u.DI().Addr)
 	if c.hblog != nil {
-		c.hblog.RecMem(c.hbtag, HBMemLoad, u.Item.GSeq, lat)
+		c.hblog.recMem(hbMemLoad, u.Item.GSeq, lat)
 	}
 	if c.hooks != nil {
 		lat += c.hooks.LoadExtraLatency(u)
@@ -1233,7 +1230,7 @@ func (c *Core) commit(now int64) {
 		if d.IsStore() {
 			lat := c.hier.Store(d.Addr)
 			if c.hblog != nil {
-				c.hblog.RecMem(c.hbtag, HBMemStore, u.Item.GSeq, lat)
+				c.hblog.recMem(hbMemStore, u.Item.GSeq, lat)
 			}
 		}
 		c.lastCommitAt = now

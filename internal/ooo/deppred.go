@@ -102,24 +102,3 @@ func (p *DepPred) Violation(pc uint64) {
 	}
 	p.table[p.index(pc)] = 1
 }
-
-// Pair-engine accessors: the Fg-STP pair's hot-block engine (internal/
-// core/hotblock.go) prechecks and bulk-advances the machine-level
-// predictor from outside this package, mirroring hbDepMatch/hbApply.
-
-// HBState returns the op counter, the scheduled clear point, and
-// whether the predictor carries a table at all (conservative and
-// perfect predictors are stateless).
-func (p *DepPred) HBState() (ops, clearAt uint64, table bool) {
-	return p.ops, p.clearAt, p.table != nil
-}
-
-// HBBit returns the wait bit a table query for pc would answer.
-func (p *DepPred) HBBit(pc uint64) bool {
-	return p.table != nil && p.table[p.index(pc)] != 0
-}
-
-// HBAdvance bulk-applies the op-counter cost of a replayed query log.
-func (p *DepPred) HBAdvance(n uint64) {
-	p.ops += n
-}

@@ -62,85 +62,70 @@ const hbNone = int64(-1) << 40
 
 // ------------------------------------------------------------ recording
 
-// HBMemKind tags one recorded memory-hierarchy access.
-type HBMemKind uint8
+// hbMemKind tags one recorded memory-hierarchy access.
+type hbMemKind uint8
 
 const (
-	HBMemFetch HBMemKind = iota // Hierarchy.Fetch (I-cache line cross)
-	HBMemLoad                   // Hierarchy.Load (non-forwarded load issue)
-	HBMemStore                  // Hierarchy.Store (store commit)
+	hbMemFetch hbMemKind = iota // Hierarchy.Fetch (I-cache line cross)
+	hbMemLoad                   // Hierarchy.Load (non-forwarded load issue)
+	hbMemStore                  // Hierarchy.Store (store commit)
 )
 
-// HBMemAccess is one hierarchy call made during a capture span, keyed
+// hbMemAccess is one hierarchy call made during a capture span, keyed
 // by the trace position of the uop that caused it relative to the
-// span's entry position and tagged with the core that made it (always 0
-// on a single core; the Fg-STP pair engine merges both cores' logs into
-// one shared HBLog). Loads and stores of uops already in flight at
+// span's entry position. Loads and stores of uops already in flight at
 // entry give negative offsets (bounded by the template's backSpan);
-// fetches are always in-span. Lat records the latency the hierarchy
+// fetches are always in-span. lat records the latency the hierarchy
 // answered — the only part of a hierarchy response the core can
 // observe — so replay preconditions can accept recurring misses, not
 // just all-hit spans (see hbProbeMatch).
-type HBMemAccess struct {
-	Kind   HBMemKind
-	Core   int8
-	PosOff int32
-	Lat    int32
+type hbMemAccess struct {
+	kind   hbMemKind
+	posOff int32
+	lat    int32
 }
 
-// HBDepQuery is one dependence-predictor query (MustWaitN call) made
-// during a capture span: which core's load asked (position offset), how
-// many unissued older stores it faced (the predictor's op-counter
-// cost), and what the answer was.
-type HBDepQuery struct {
-	Core   int8
-	PosOff int32
-	N      int32
-	Wait   bool
+// hbDepQuery is one dependence-predictor query (MustWaitN call) made
+// during a capture span: which load asked (position offset), how many
+// unissued older stores it faced (the predictor's op-counter cost), and
+// what the answer was.
+type hbDepQuery struct {
+	posOff int32
+	n      int32
+	wait   bool
 }
 
-// HBLog accumulates the external-interaction log of one capture span.
+// hbLog accumulates the external-interaction log of one capture span.
 // The core's record sites (fetch, load issue, store commit, dependence
-// query) append to it only while Core.hblog is non-nil; the pair engine
-// shares one log between both cores and the sequencer, each appending
-// under its own core tag.
-type HBLog struct {
+// query) append to it only while Core.hblog is non-nil.
+type hbLog struct {
 	basePos int
-	Mem     []HBMemAccess
-	Dep     []HBDepQuery
+	mem     []hbMemAccess
+	dep     []hbDepQuery
 }
 
-// Reset empties the log and rebases position offsets on basePos.
-func (r *HBLog) Reset(basePos int) {
+// reset empties the log and rebases position offsets on basePos.
+func (r *hbLog) reset(basePos int) {
 	r.basePos = basePos
-	r.Mem = r.Mem[:0]
-	r.Dep = r.Dep[:0]
+	r.mem = r.mem[:0]
+	r.dep = r.dep[:0]
 }
 
-// RecMem appends one hierarchy access with its answered latency.
-func (r *HBLog) RecMem(core int8, kind HBMemKind, gseq uint64, lat int) {
-	r.Mem = append(r.Mem, HBMemAccess{
-		Kind: kind, Core: core,
-		PosOff: int32(int64(gseq) - int64(r.basePos)),
-		Lat:    int32(lat),
+// recMem appends one hierarchy access with its answered latency.
+func (r *hbLog) recMem(kind hbMemKind, gseq uint64, lat int) {
+	r.mem = append(r.mem, hbMemAccess{
+		kind:   kind,
+		posOff: int32(int64(gseq) - int64(r.basePos)),
+		lat:    int32(lat),
 	})
 }
 
-// RecDep appends one dependence-predictor query.
-func (r *HBLog) RecDep(core int8, gseq uint64, n int, wait bool) {
-	r.Dep = append(r.Dep, HBDepQuery{
-		Core: core, PosOff: int32(int64(gseq) - int64(r.basePos)),
-		N: int32(n), Wait: wait,
+// recDep appends one dependence-predictor query.
+func (r *hbLog) recDep(gseq uint64, n int, wait bool) {
+	r.dep = append(r.dep, hbDepQuery{
+		posOff: int32(int64(gseq) - int64(r.basePos)),
+		n:      int32(n), wait: wait,
 	})
-}
-
-// HBSetLog attaches (or detaches, log == nil) the recording log the
-// core's record sites append to, tagging every record with core tag.
-// The single-core engine attaches the controller's own log during
-// capture; the pair engine attaches one shared log to both cores.
-func (c *Core) HBSetLog(log *HBLog, tag int8) {
-	c.hblog = log
-	c.hbtag = tag
 }
 
 // ------------------------------------------------------------- template
@@ -167,8 +152,8 @@ type hbTemplate struct {
 	// prove recurrence with a full probe replay (hbProbeMatch).
 	allHit bool
 
-	mem      []HBMemAccess
-	dep      []HBDepQuery
+	mem      []hbMemAccess
+	dep      []hbDepQuery
 	depCalls uint64 // total MustWait op-counter cost of the dep log
 }
 
@@ -218,7 +203,7 @@ type hbCtl struct {
 	capturing bool
 	capB      *hotblock.Block
 	cap       hbCapEntry
-	rec       HBLog
+	rec       hbLog
 
 	// Chained-replay fast path: when a replay ends exactly where the
 	// next one would begin, the exit vector is a pure shift of the
@@ -237,18 +222,17 @@ type hbCtl struct {
 
 // EnableHotBlock turns on hot-block timing memoization for this core
 // and reports whether it engaged. It declines — leaving the core in
-// plain ticked/skip mode, with ctrs untouched — when the core is not
-// eligible: coordinated cores (non-nil hooks; the Fg-STP pair's
-// cross-core channel and sequencer state make drain tops non-local),
-// externally sequenced front ends, non-trace streams, and cores with a
-// pipeline-event sink (replayed spans emit no per-uop events). Call it
-// after NewCore and before the first cycle; ctrs may be nil.
+// plain ticked/skip mode — when the core is not eligible: coordinated
+// cores (non-nil hooks; the Fg-STP pair's cross-core channel and
+// sequencer state make drain tops non-local), externally sequenced
+// front ends, non-trace streams, and cores with a pipeline-event sink
+// (replayed spans emit no per-uop events). Call it after NewCore and
+// before the first cycle; ctrs may be nil.
 func (c *Core) EnableHotBlock(cfg hotblock.Config, ctrs *hotblock.Counters) bool {
 	if c.hooks != nil || c.cfg.ExternalFrontend {
 		// Cross-core visibility: hooks or an external sequencer make
-		// drain tops non-local to this core. The Fg-STP pair instead
-		// engages the pair-level engine (core.EnablePairHotBlock), which
-		// captures both cores plus the channel schedule jointly.
+		// drain tops non-local to this core, so the Fg-STP pair runs on
+		// the plain ticked/skip engine.
 		if ctrs != nil {
 			ctrs.DeclinedVisibility++
 		}
@@ -275,7 +259,7 @@ func (c *Core) EnableHotBlock(cfg hotblock.Config, ctrs *hotblock.Counters) bool
 		addrA:       make(map[uint64]int32),
 		addrB:       make(map[uint64]int32),
 	}
-	c.HBSetLog(nil, 0)
+	c.hblog = nil
 	return true
 }
 
@@ -352,7 +336,7 @@ func (c *Core) hotblockTop(now, lastProgress, limit int64) (int64, bool) {
 
 func (c *Core) hbBeginCapture(b *hotblock.Block, now int64, pos int) {
 	h := c.hb
-	oldest := c.HBOldestInFlight(pos)
+	oldest := c.hbOldestInFlight(pos)
 	h.capturing = true
 	h.capB = b
 	h.cap.now = now
@@ -368,14 +352,14 @@ func (c *Core) hbBeginCapture(b *hotblock.Block, now int64, pos int) {
 	h.cap.depOps = c.dep.ops
 	h.cap.depClearAt = c.dep.clearAt
 	h.cap.closeFails = 0
-	h.rec.Reset(pos)
-	c.HBSetLog(&h.rec, 0)
+	h.rec.reset(pos)
+	c.hblog = &h.rec
 }
 
-// HBOldestInFlight returns the trace position of the oldest in-flight
+// hbOldestInFlight returns the trace position of the oldest in-flight
 // uop (ROB front, else fetch-queue front), or pos when the pipeline is
 // empty — the base of a capture span's backSpan.
-func (c *Core) HBOldestInFlight(pos int) int {
+func (c *Core) hbOldestInFlight(pos int) int {
 	if c.rob.len() > 0 {
 		return int(c.rob.front().Item.GSeq)
 	}
@@ -396,7 +380,7 @@ func (c *Core) HBOldestInFlight(pos int) int {
 // Cache misses and prefetches deliberately do NOT poison: a streaming
 // loop whose every iteration misses the same way is exactly as steady
 // as an all-hit loop. The template records the latency pattern
-// (HBMemAccess.Lat) and replay proves its recurrence with a pure probe
+// (hbMemAccess.lat) and replay proves its recurrence with a pure probe
 // (hbProbeMatch), so periodic-miss spans close into templates instead
 // of burning every capture attempt.
 func (c *Core) hbSpanPoisoned() bool {
@@ -449,19 +433,19 @@ func (c *Core) hbTryClose(now int64, pos int) {
 			c.hier.L1D.Stats.Misses == h.cap.l1dMiss &&
 			c.hier.L2.Stats.Accesses == h.cap.l2Acc &&
 			c.hier.Prefetches == h.cap.pref,
-		mem: slices.Clone(h.rec.Mem),
-		dep: slices.Clone(h.rec.Dep),
+		mem: slices.Clone(h.rec.mem),
+		dep: slices.Clone(h.rec.dep),
 	}
 	for _, q := range tpl.dep {
-		if q.Wait {
+		if q.wait {
 			tpl.depCalls++
 		} else {
-			tpl.depCalls += uint64(q.N)
+			tpl.depCalls += uint64(q.n)
 		}
 	}
 	h.capturing = false
 	h.capB = nil
-	c.HBSetLog(nil, 0)
+	c.hblog = nil
 	b.Template = tpl
 	b.Status = hotblock.Armed
 	b.Attempts = 0
@@ -480,7 +464,7 @@ func (c *Core) hbTryClose(now int64, pos int) {
 func (c *Core) hbAbortCapture(squash bool) {
 	h := c.hb
 	h.capturing = false
-	c.HBSetLog(nil, 0)
+	c.hblog = nil
 	b := h.capB
 	h.capB = nil
 	if b == nil {
@@ -673,8 +657,8 @@ func (c *Core) hbCacheMatch(tpl *hbTemplate, pos int) bool {
 	l1i, l1d := c.hier.L1I, c.hier.L1D
 	lineBytes := uint64(l1i.Config().LineBytes)
 	for _, a := range tpl.mem {
-		d := tr.At(pos + int(a.PosOff))
-		if a.Kind == HBMemFetch {
+		d := tr.At(pos + int(a.posOff))
+		if a.kind == hbMemFetch {
 			if !l1i.Lookup(d.PC) || !l1i.Lookup(l1i.LineAddr(d.PC)+lineBytes) {
 				return false
 			}
@@ -703,17 +687,17 @@ func (c *Core) hbProbeMatch(tpl *hbTemplate, pos int) bool {
 	p := h.probe
 	p.Reset()
 	for _, a := range tpl.mem {
-		d := h.tr.At(pos + int(a.PosOff))
-		switch a.Kind {
-		case HBMemFetch:
-			if p.Fetch(c.hier, d.PC) != int(a.Lat) {
+		d := h.tr.At(pos + int(a.posOff))
+		switch a.kind {
+		case hbMemFetch:
+			if p.Fetch(c.hier, d.PC) != int(a.lat) {
 				return false
 			}
-		case HBMemLoad:
-			if p.Load(c.hier, d.Addr) != int(a.Lat) {
+		case hbMemLoad:
+			if p.Load(c.hier, d.Addr) != int(a.lat) {
 				return false
 			}
-		case HBMemStore:
+		case hbMemStore:
 			p.Store(c.hier, d.Addr)
 		}
 	}
@@ -773,8 +757,8 @@ func (c *Core) hbDepMatch(tpl *hbTemplate, pos int) bool {
 	}
 	tr := c.hb.tr
 	for _, q := range tpl.dep {
-		d := tr.At(pos + int(q.PosOff))
-		if (p.table[p.index(d.PC)] != 0) != q.Wait {
+		d := tr.At(pos + int(q.posOff))
+		if (p.table[p.index(d.PC)] != 0) != q.wait {
 			return false
 		}
 	}
@@ -818,31 +802,29 @@ func (c *Core) hbApply(tpl *hbTemplate, now int64, pos int) {
 		}
 	}
 	for _, a := range tpl.mem {
-		d := tr.At(pos + int(a.PosOff))
-		switch a.Kind {
-		case HBMemFetch:
+		d := tr.At(pos + int(a.posOff))
+		switch a.kind {
+		case hbMemFetch:
 			c.hier.Fetch(d.PC)
-		case HBMemLoad:
+		case hbMemLoad:
 			c.hier.Load(d.Addr)
-		case HBMemStore:
+		case hbMemStore:
 			c.hier.Store(d.Addr)
 		}
 	}
 	c.dep.ops += tpl.depCalls
 
-	c.HBAddReport(&tpl.delta)
-	c.HBShiftState(tr, dg, dc, nil)
+	addReport(&c.rpt, &tpl.delta)
+	c.hbShiftState(tr, dg, dc)
 	c.lastCommitAt = now + tpl.lastCommitOff
 	h.ts.pos = pos + tpl.dg
 }
 
-// HBShiftState bulk-shifts every in-flight structure of the core by
-// (dg instructions, dc cycles): the shift half of a hot-block replay,
-// shared with the pair engine (which also repoints each uop's steer
-// metadata via fixup, called on every ROB and fetch-queue uop after its
-// shift). The caller owns the rest of the replay — external-state
-// updates, the report delta, lastCommitAt and the stream cursor.
-func (c *Core) HBShiftState(tr *trace.Trace, dg uint64, dc int64, fixup func(*UOp)) {
+// hbShiftState bulk-shifts every in-flight structure of the core by
+// (dg instructions, dc cycles): the shift half of a hot-block replay.
+// The caller owns the rest of the replay — external-state updates, the
+// report delta, lastCommitAt and the stream cursor.
+func (c *Core) hbShiftState(tr *trace.Trace, dg uint64, dc int64) {
 	// Shift the window: clear every live window-table slot first so the
 	// re-inserts can assert collision freedom, then shift each uop in
 	// place (pointers — and with them the rat, lq/sq/cand entries and
@@ -853,9 +835,6 @@ func (c *Core) HBShiftState(tr *trace.Trace, dg uint64, dc int64, fixup func(*UO
 	for i := 0; i < c.rob.len(); i++ {
 		u := c.rob.at(i)
 		c.hbShiftUOp(u, tr, dg, dc)
-		if fixup != nil {
-			fixup(u)
-		}
 		idx := u.Item.GSeq & c.wmask
 		if c.wtab[idx] != nil {
 			panic("ooo: hotblock window collision")
@@ -863,11 +842,7 @@ func (c *Core) HBShiftState(tr *trace.Trace, dg uint64, dc int64, fixup func(*UO
 		c.wtab[idx] = u
 	}
 	for i := 0; i < c.fetchq.len(); i++ {
-		u := c.fetchq.at(i)
-		c.hbShiftUOp(u, tr, dg, dc)
-		if fixup != nil {
-			fixup(u)
-		}
+		c.hbShiftUOp(c.fetchq.at(i), tr, dg, dc)
 	}
 	for i := 0; i < c.defq.len(); i++ {
 		// Deferred uops are committed: only their recycling time and the
@@ -920,12 +895,6 @@ func (c *Core) hbShiftUOp(u *UOp, tr *trace.Trace, dg uint64, dc int64) {
 	u.dispatchReady += dc
 	u.issuedAt += dc
 	u.fetchedAt += dc
-	// extWaitAt is a cycle time once the uop has polled an external
-	// producer (pair mode); the -2 "never polled" sentinel stays put. A
-	// stale stamp (< now-1, unobservable) stays stale after the shift.
-	if u.extWaitAt >= 0 {
-		u.extWaitAt += dc
-	}
 	if u.waitingOn != freedGSeq {
 		u.waitingOn += dg
 	}
@@ -958,11 +927,6 @@ func (c *Core) hbQuickState(now int64) hbQuick {
 	}
 }
 
-// HBQuickVec exposes the quick-state prefilter to the pair engine.
-func (c *Core) HBQuickVec(now int64) [8]int32 {
-	return [8]int32(c.hbQuickState(now))
-}
-
 // hbEncode writes the core's normalized state vector at a drain top
 // into the controller's reusable buffer. Times are relative to now,
 // sequence numbers to pos; values whose exact magnitude is
@@ -973,7 +937,8 @@ func (c *Core) HBQuickVec(now int64) [8]int32 {
 // (explicit flags and source counts), so streams of different layouts
 // can never alias.
 //
-// Deliberate omissions, each proven unobservable at a drain top:
+// Deliberate omissions, each proven unobservable at a drain top with
+// nil hooks: extWaitAt (≡ -2: no external polls without hooks),
 // speculative/mispredicted flags (read only by hooks/squash paths whose
 // absence the template guarantees), the waiter chains (derivable from
 // waitingOn; order is immaterial because wake walks filter by GSeq),
@@ -981,16 +946,7 @@ func (c *Core) HBQuickVec(now int64) [8]int32 {
 // pool (invisible until allocated), and hasViolation (always false
 // between cycles).
 func (c *Core) hbEncode(now int64, pos int) []int64 {
-	h := c.hb
-	h.vecbuf = c.HBEncodeState(h.vecbuf[:0], now, pos)
-	return h.vecbuf
-}
-
-// HBEncodeState appends the core's normalized state vector at a drain
-// top to v (see hbEncode). The pair engine calls it for both cores into
-// one joint vector; the single-core engine wraps it with a reusable
-// buffer.
-func (c *Core) HBEncodeState(v []int64, now int64, pos int) []int64 {
+	v := c.hb.vecbuf[:0]
 	p := int64(pos)
 	bypass := int64(c.cfg.CrossClusterBypass)
 
@@ -1065,15 +1021,7 @@ func (c *Core) HBEncodeState(v []int64, now int64, pos int) []int64 {
 			if u.wakeAt != sleepForever {
 				wk = clamp0(u.wakeAt - now)
 			}
-			// extWaitAt matters only through the attribution test
-			// `extWaitAt >= now-1` (and only in pair mode, where channel
-			// polls stamp it); older stamps — and the -2 "never polled"
-			// sentinel — read identically and collapse to hbNone.
-			ew := int64(hbNone)
-			if u.extWaitAt >= now-1 {
-				ew = u.extWaitAt - now
-			}
-			v = append(v, 0, int64(u.waitSrc), wk, ew, offG(u.waitingOn), int64(u.nsrc))
+			v = append(v, 0, int64(u.waitSrc), wk, offG(u.waitingOn), int64(u.nsrc))
 			for s := 0; s < u.nsrc; s++ {
 				if pr := u.prods[s]; pr != nil && pr.Item.GSeq == u.prodGSeq[s] {
 					v = append(v, int64(u.prodGSeq[s])-p)
@@ -1102,34 +1050,9 @@ func (c *Core) HBEncodeState(v []int64, now int64, pos int) []int64 {
 		u := c.defq.at(i)
 		v = append(v, int64(u.Item.GSeq)-p, u.completeAt-now, int64(u.Cluster))
 	}
+	c.hb.vecbuf = v
 	return v
 }
-
-// ---------------------------------------------------- pair-engine hooks
-
-// The Fg-STP pair engine (internal/core) drives a joint capture/replay
-// across both cores from outside this package; these accessors expose
-// exactly the per-core pieces it needs and nothing else.
-
-// HBReportDelta returns the core's report minus base, field by field.
-func (c *Core) HBReportDelta(base *Report) Report {
-	return reportDelta(&c.rpt, base)
-}
-
-// HBAddReport bulk-applies a captured report delta.
-func (c *Core) HBAddReport(d *Report) {
-	addReport(&c.rpt, d)
-}
-
-// HBLastCommitAt returns the cycle of the core's most recent commit
-// (the drain watchdog's progress anchor).
-func (c *Core) HBLastCommitAt() int64 { return c.lastCommitAt }
-
-// HBSetLastCommitAt restores the progress anchor after a bulk replay.
-func (c *Core) HBSetLastCommitAt(t int64) { c.lastCommitAt = t }
-
-// HBDepPred returns the core's memory-dependence predictor.
-func (c *Core) HBDepPred() *DepPred { return c.dep }
 
 // ------------------------------------------------------ report algebra
 

@@ -9,6 +9,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/stats"
 	"repro/internal/trace"
+	"repro/internal/workloads"
 )
 
 // hbTestConfig is an aggressive memoization config for tests: a block
@@ -177,6 +178,41 @@ func TestHotBlockEngagesOnSteadyLoop(t *testing.T) {
 	}
 	if ctrs.ReplayedInsts > out.rpt.Committed {
 		t.Errorf("replayed %d insts but only %d committed", ctrs.ReplayedInsts, out.rpt.Committed)
+	}
+}
+
+// Periodic-miss templates arm and replay on a single core: mcf's
+// pointer chase and the stream-miss loop miss the L1 on every
+// iteration, so the all-hit rule would refuse every span and only the
+// probe-proven recurring miss response can arm them. Every template is
+// therefore periodic and every replay a periodic-miss replay, and both
+// runs must still match the ticked engine exactly. The per-reason
+// precondition split must account for every refused replay.
+func TestPeriodicMissTemplatesReplay(t *testing.T) {
+	w, ok := workloads.ByName("mcf")
+	if !ok {
+		t.Fatal("workload mcf missing")
+	}
+	for _, tr := range []*trace.Trace{w.Trace(20_000), streamMissTrace(20_000)} {
+		var ctrs hotblock.Counters
+		hb := drainOutcome(t, testConfig(), testHier(), tr, "hotblock", &ctrs)
+		tick := drainOutcome(t, testConfig(), testHier(), tr, "ticked", nil)
+		if hb != tick {
+			t.Errorf("%s: hotblock run diverges from ticked run\n  hotblock: %+v\n  ticked:   %+v\n  counters: %+v",
+				tr.Name, hb, tick, ctrs)
+		}
+		if ctrs.TemplatesPeriodic == 0 || ctrs.TemplatesPeriodic != ctrs.Templates {
+			t.Errorf("%s: want only periodic-miss templates: %+v", tr.Name, ctrs)
+		}
+		if ctrs.Replays == 0 || ctrs.ReplayedCycles == 0 {
+			t.Errorf("%s: periodic-miss templates never replayed: %+v", tr.Name, ctrs)
+		}
+		split := ctrs.PrecondWindow + ctrs.PrecondVector + ctrs.PrecondShape +
+			ctrs.PrecondCache + ctrs.PrecondPred + ctrs.PrecondDep
+		if split != ctrs.InvalidationsPrecond {
+			t.Errorf("%s: precondition split sums to %d, InvalidationsPrecond = %d: %+v",
+				tr.Name, split, ctrs.InvalidationsPrecond, ctrs)
+		}
 	}
 }
 

@@ -56,27 +56,13 @@ func (e *LivelockError) Error() string {
 
 func (e *LivelockError) Unwrap() error { return ErrLivelock }
 
-// RunTrace simulates tr to completion on a single core built from cfg
-// and hcfg, returning the run summary. This is the baseline
-// configuration of every experiment; the fused and Fg-STP modes live in
-// internal/corefusion and internal/core.
-func RunTrace(cfg Config, hcfg mem.HierarchyConfig, tr *trace.Trace) (stats.Run, error) {
-	return RunTraceWith(cfg, hcfg, tr, RunOptions{})
-}
-
-// RunTraceInstrumented simulates like RunTrace with a pipeline event
-// sink attached to the core (nil behaves exactly like RunTrace); the
-// events render into a Chrome trace via metrics.WriteChromeTrace.
-func RunTraceInstrumented(cfg Config, hcfg mem.HierarchyConfig, tr *trace.Trace, sink metrics.Sink) (stats.Run, error) {
-	return RunTraceWith(cfg, hcfg, tr, RunOptions{Sink: sink})
-}
-
 // RunOptions bundles the optional knobs of a single-core run. The zero
-// value reproduces RunTrace: no event sink, hot-block memoization on
-// unless the process-wide default disables it.
+// value means no event sink and hot-block memoization on unless the
+// process-wide default disables it.
 type RunOptions struct {
 	// Sink receives pipeline events; attaching one disables hot-block
-	// replay (replayed spans emit no per-uop events).
+	// replay (replayed spans emit no per-uop events). The events render
+	// into a Chrome trace via metrics.WriteChromeTrace.
 	Sink metrics.Sink
 	// DisableHotBlock forces the plain engine for this run regardless of
 	// the process default (hotblock.SetDefaultDisabled).
@@ -88,7 +74,10 @@ type RunOptions struct {
 	HotBlock *hotblock.Counters
 }
 
-// RunTraceWith simulates like RunTrace under opts.
+// RunTraceWith simulates tr to completion on a single core built from
+// cfg and hcfg under opts, returning the run summary. This is the
+// baseline configuration of every experiment; the fused and Fg-STP
+// modes live in internal/corefusion and internal/core.
 func RunTraceWith(cfg Config, hcfg mem.HierarchyConfig, tr *trace.Trace, opts RunOptions) (stats.Run, error) {
 	hier, err := mem.NewHierarchy(hcfg)
 	if err != nil {
@@ -109,9 +98,8 @@ func RunTraceWith(cfg Config, hcfg mem.HierarchyConfig, tr *trace.Trace, opts Ru
 
 // ApplyHotBlockOptions enables hot-block memoization on core per opts
 // and the process-wide default (hotblock.SetDefaultDisabled). Shared by
-// the single-core and fused-core run paths; Fg-STP cores decline inside
-// EnableHotBlock because their cross-core hooks make drain tops
-// non-local.
+// the single-core and fused-core run paths; the Fg-STP pair's hooked
+// cores are never offered the engine.
 func ApplyHotBlockOptions(core *Core, opts RunOptions) {
 	if opts.DisableHotBlock || hotblock.DefaultDisabled() || opts.Sink != nil {
 		return

@@ -53,12 +53,10 @@ type Job struct {
 	// Faults optionally injects deterministic faults into the run
 	// (testing and fault drills); nil simulates normally.
 	Faults cmp.Faults
-	// DisableHotBlock forces the plain engine for this job; HotBlock,
-	// when non-nil, receives the job's replay telemetry. Give each
-	// concurrent job its own Counters and Merge them afterwards — the
-	// engine updates them without synchronisation.
-	DisableHotBlock bool
-	HotBlock        *hotblock.Counters
+	// HotBlock, when non-nil, receives the job's replay telemetry. Give
+	// each concurrent job its own Counters and Merge them afterwards —
+	// the engine updates them without synchronisation.
+	HotBlock *hotblock.Counters
 }
 
 // tag returns the error label: the explicit Tag, or a default built
@@ -80,11 +78,7 @@ func (j *Job) tag() string {
 // tagged *PanicError.
 func (j Job) Run() (stats.Run, error) {
 	r, err := protect(j.tag(), func(j Job) (stats.Run, error) {
-		return cmp.RunOpts(j.Machine, j.Mode, j.Trace, cmp.Options{
-			Faults:          j.Faults,
-			DisableHotBlock: j.DisableHotBlock,
-			HotBlock:        j.HotBlock,
-		})
+		return cmp.RunOpts(j.Machine, j.Mode, j.Trace, cmp.Options{Faults: j.Faults, HotBlock: j.HotBlock})
 	}, j)
 	if err != nil {
 		if pe := (*PanicError)(nil); errors.As(err, &pe) {

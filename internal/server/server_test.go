@@ -591,24 +591,25 @@ func hotblockLines(body string) string {
 }
 
 // TestMetriczHotBlock: an engine-backed sim request folds its hot-block
-// replay telemetry into the daemon aggregate — nonzero pair-template
-// counters for a loop-heavy Fg-STP run — and a cached repeat, which
-// simulates nothing, leaves the aggregate untouched.
+// replay telemetry into the daemon aggregate — nonzero template and
+// replay counters for a single-core mcf run, whose pointer chase arms a
+// periodic-miss template — and a cached repeat, which simulates
+// nothing, leaves the aggregate untouched.
 func TestMetriczHotBlock(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 2, CacheDir: t.TempDir()})
-	req := SimRequest{Workload: "mcf", Machine: "medium", Insts: 20_000, Mode: "fgstp", Format: "json"}
+	req := SimRequest{Workload: "mcf", Machine: "medium", Insts: 20_000, Mode: "single", Format: "json"}
 	if w := post(t, s, "/v1/sim", "t", req); w.Code != http.StatusOK {
 		t.Fatalf("sim = %d\n%s", w.Code, w.Body.String())
 	}
 	body := get(t, s, "/metricz").Body.String()
 	for _, name := range []string{
 		"hotblock_templates",
-		"hotblock_templates_pair",
-		"hotblock_replays_pair",
+		"hotblock_templates_periodic",
+		"hotblock_replays",
 		"hotblock_replayed_insts",
 	} {
 		if metricValue(t, body, name) == 0 {
-			t.Errorf("metricz %s = 0 after an Fg-STP run that should replay:\n%s", name, hotblockLines(body))
+			t.Errorf("metricz %s = 0 after a single-core run that should replay:\n%s", name, hotblockLines(body))
 		}
 	}
 	w := post(t, s, "/v1/sim", "t", req)

@@ -21,12 +21,10 @@
 #   hotblock smoke  fgstpbench -experiment all output must be
 #                   byte-identical with hot-block memoization on and
 #                   off, at -jobs 1 and 4 (replay is a pure speedup,
-#                   never a result change) — the full-suite run covers
-#                   the fgstp mode, whose pair templates now replay;
-#                   plus coverage floors: an fgstp workload must replay
-#                   pair templates and a streaming workload must arm
-#                   periodic-miss templates (nonzero counters in the
-#                   fgstpsim footer)
+#                   never a result change); plus single-core coverage
+#                   floors: a loop-heavy workload must replay templates
+#                   and a streaming workload must arm periodic-miss
+#                   templates (nonzero counters in the fgstpsim footer)
 #   sampled smoke   scripts/simpointcheck on a fixed workload set: the
 #                   checkpointed SimPoint estimate's 95% confidence
 #                   interval must contain the full-run IPC in every
@@ -94,9 +92,9 @@ grep -q '"traceEvents"' "$tmp/pipe.json" || {
     echo "pipeline trace missing traceEvents"; exit 1; }
 
 echo "== hot-block byte-identity smoke (all experiments, -hotblock=0 vs on, jobs 1 vs 4)"
-# -experiment all covers every mode, including fgstp cells whose pair
-# templates arm and replay at this budget — the byte-identity therefore
-# proves the joint pair engine, not just the per-core one.
+# -experiment all covers the single and corefusion cells, whose per-core
+# templates arm and replay at this budget; the fgstp cells never replay
+# and must read the same either way.
 "$tmp/fgstpbench" -experiment all -insts 3000 -format json -jobs 1 \
     >"$tmp/allhb1.json" 2>/dev/null
 "$tmp/fgstpbench" -experiment all -insts 3000 -format json -jobs 4 \
@@ -112,24 +110,20 @@ cmp "$tmp/allnohb1.json" "$tmp/allnohb4.json" || {
 cmp "$tmp/allhb1.json" "$tmp/allnohb1.json" || {
     echo "-experiment all export differs between -hotblock on and off"; exit 1; }
 
-echo "== hot-block coverage smoke (fgstp pair replay, streaming periodic-miss)"
-# The fgstp pair must replay joint templates on a loop-heavy workload,
-# and a streaming workload (mcf's pointer chase misses the L1 on every
-# iteration) must arm periodic-miss templates — both were 0 by design
-# before the pair/periodic-miss template kinds existed.
-"$tmp/fgstpsim" -workload hmmer -insts 20000 -machine medium -mode fgstp \
+echo "== hot-block coverage smoke (single-core replay, streaming periodic-miss)"
+# A loop-heavy workload must replay templates on the single core, and a
+# streaming workload (mcf's pointer chase misses the L1 on every
+# iteration) must arm periodic-miss templates.
+"$tmp/fgstpsim" -workload hmmer -insts 20000 -machine medium -mode single \
     -format json >/dev/null 2>"$tmp/hb_hmmer.log"
-pair="$(sed -n 's/.*, \([0-9][0-9]*\) pair replays)$/\1/p' "$tmp/hb_hmmer.log")"
-[ -n "$pair" ] && [ "$pair" -gt 0 ] || {
-    echo "fgstp mode replayed no pair templates on hmmer"; cat "$tmp/hb_hmmer.log"; exit 1; }
-"$tmp/fgstpsim" -workload mcf -insts 20000 -machine medium -mode fgstp \
+replays="$(awk '$2 == "hotblock_replays" {print int($3)}' "$tmp/hb_hmmer.log")"
+[ -n "$replays" ] && [ "$replays" -gt 0 ] || {
+    echo "single mode replayed no templates on hmmer"; cat "$tmp/hb_hmmer.log"; exit 1; }
+"$tmp/fgstpsim" -workload mcf -insts 20000 -machine medium -mode single \
     -format json >/dev/null 2>"$tmp/hb_mcf.log"
 periodic="$(awk '$2 == "hotblock_templates_periodic" {print int($3)}' "$tmp/hb_mcf.log")"
 [ -n "$periodic" ] && [ "$periodic" -gt 0 ] || {
     echo "streaming workload mcf armed no periodic-miss templates"; cat "$tmp/hb_mcf.log"; exit 1; }
-pair="$(sed -n 's/.*, \([0-9][0-9]*\) pair replays)$/\1/p' "$tmp/hb_mcf.log")"
-[ -n "$pair" ] && [ "$pair" -gt 0 ] || {
-    echo "streaming workload mcf replayed no pair templates"; cat "$tmp/hb_mcf.log"; exit 1; }
 
 echo "== sampled-accuracy smoke (estimate CI covers full-run IPC)"
 go run ./scripts/simpointcheck
