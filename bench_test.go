@@ -17,6 +17,7 @@ import (
 	"repro/internal/cmp"
 	"repro/internal/config"
 	"repro/internal/experiments"
+	"repro/internal/simpoint"
 	"repro/internal/workloads"
 )
 
@@ -156,23 +157,39 @@ func BenchmarkSimpointFull(b *testing.B) {
 }
 
 // BenchmarkSimpointSampled is the checkpointed sampled estimate of the
-// same run: representatives chosen, checkpoints captured, slices
-// simulated in parallel.
+// same run, timed alone: representatives chosen, checkpoints captured,
+// slices simulated in parallel.
 func BenchmarkSimpointSampled(b *testing.B) {
+	const warmup = simpointBenchInterval // fgstpsim's default: one interval
 	for _, name := range simpointBenchKernels {
 		b.Run(name, func(b *testing.B) {
 			m, w := simpointBenchSetup(b, name)
 			tr := w.Trace(simpointBenchInsts)
-			p := experiments.SimpointParams{Interval: simpointBenchInterval, Warmup: -1}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				ests := experiments.SimpointEstimates(m, tr, []cmp.Mode{cmp.ModeFgSTP}, p)
-				if ests[0].Error != "" {
-					b.Fatal(ests[0].Error)
+				reps, err := simpoint.Choose(tr, simpointBenchInterval, experiments.DefaultSimpointK)
+				if err != nil {
+					b.Fatal(err)
+				}
+				slices, err := simpoint.Slices(reps, simpointBenchInterval, warmup, tr.Len())
+				if err != nil {
+					b.Fatal(err)
+				}
+				boundaries := make([]int, len(slices))
+				for j, sl := range slices {
+					boundaries[j] = sl.WStart
+				}
+				sim, err := cmp.NewSliceSim(m, cmp.ModeFgSTP, tr, boundaries)
+				if err != nil {
+					b.Fatal(err)
+				}
+				est, err := simpoint.EstimateCPI(reps, simpointBenchInterval, warmup, tr.Len(), 0, sim.Run)
+				if err != nil {
+					b.Fatal(err)
 				}
 				if i == b.N-1 {
-					b.ReportMetric(ests[0].IPC, "ipc")
-					b.ReportMetric(float64(ests[0].SampledInsts)/float64(tr.Len()), "sampled_frac")
+					b.ReportMetric(est.IPC, "ipc")
+					b.ReportMetric(float64(est.SampledInsts)/float64(tr.Len()), "sampled_frac")
 				}
 			}
 		})

@@ -9,19 +9,24 @@
 //	-machine  name   machine preset: small | medium (default medium)
 //	-mode     name   single | corefusion | fgstp | all (default all)
 //	-insts    n      dynamic instructions to simulate (default 100000)
-//	-jobs     n      worker goroutines when running several modes
-//	                 (default GOMAXPROCS; output is identical for any n)
+//	-jobs     n      worker goroutines for the whole report: every
+//	                 mode's full run and, with -simpoint, every mode's
+//	                 sampled estimate share one pool of n workers, the
+//	                 longest task first (default GOMAXPROCS; output is
+//	                 identical for any n)
 //	-format   name   output format: text | json | csv (default text)
 //	-config   file   JSON machine config overriding -machine
 //	-simpoint n      also estimate IPC by checkpointed SimPoint
 //	                 sampling: slice the trace into n-instruction
 //	                 intervals, cluster them, capture a warm checkpoint
 //	                 at each representative and simulate only
-//	                 warmup+interval instructions per point, in
-//	                 parallel. The weighted IPC and its 95% confidence
-//	                 interval join the report (json/csv carry a
-//	                 "simpoint" block) and the footer compares them
-//	                 against the full-run IPC (0 = off)
+//	                 warmup+interval instructions per point; each
+//	                 mode's estimate is one task on the -jobs pool,
+//	                 overlapping the full runs. The weighted IPC and
+//	                 its 95% confidence interval join the report
+//	                 (json/csv carry a "simpoint" block) and the
+//	                 footer compares them against the full-run IPC
+//	                 (0 = off)
 //	-savetrace file  capture the workload trace to a file and exit
 //	-loadtrace file  replay a previously saved trace
 //	-tracejson file  write a Chrome trace-event file of the pipeline
@@ -41,7 +46,10 @@
 //	                 replayed-cycle coverage) prints to stderr.
 //
 // A failed mode renders as a FAILED line; the other modes still
-// report. Exit codes:
+// report. Stderr ends with footers that never reach stdout: the
+// report's pool use ("report 6 tasks on 2 workers, busy … over …
+// (utilization …)"), hot-block replay telemetry and peak RSS.
+// Exit codes:
 //
 //	0  every requested mode simulated successfully
 //	1  partial failure: at least one mode failed, the report completed
@@ -50,6 +58,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -61,7 +70,6 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/hotblock"
 	"repro/internal/metrics"
-	"repro/internal/sched"
 	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/workloads"
@@ -79,7 +87,7 @@ func run() int {
 		machine    = flag.String("machine", "medium", "machine preset: small | medium")
 		mode       = flag.String("mode", "all", "execution mode: single | corefusion | fgstp | all")
 		insts      = flag.Uint64("insts", 100_000, "dynamic instructions to simulate")
-		jobs       = flag.Int("jobs", 0, "worker goroutines when running several modes (<= 0: GOMAXPROCS)")
+		jobs       = flag.Int("jobs", 0, "worker goroutines for the report's full runs and sampled estimates (<= 0: GOMAXPROCS)")
 		format     = flag.String("format", "text", "output format: text, json or csv")
 		configPath = flag.String("config", "", "JSON machine configuration file")
 		dumpConfig = flag.Bool("dumpconfig", false, "print the machine preset as JSON and exit")
@@ -190,21 +198,18 @@ func run() int {
 		modes = []cmp.Mode{md}
 	}
 
-	// The modes are independent simulations over the same read-only
-	// trace: fan them out over the pool. Results come back in
-	// submission order, so the report reads identically for any -jobs.
-	// A failed mode reports FAILED without aborting its siblings. The
-	// job list is the shared construction the fgstpd daemon also uses
-	// (experiments.SimJobs), which validates -inject.
-	jl, err := experiments.SimJobs(m, tr, modes, *inject)
+	// One task list on one worker pool: every mode's full run and, with
+	// -simpoint, every mode's checkpointed sampled estimate, longest
+	// first. Results come back at their mode's index, so the report reads
+	// identically for any -jobs. A failed mode reports FAILED without
+	// aborting its siblings. fgstpd's /v1/sim runs the same
+	// experiments.RunSim, which also validates -inject.
+	rep, err := experiments.RunSim(context.Background(), m, tr, modes, *inject,
+		experiments.SimpointParams{Interval: *simpointN, Warmup: -1}, *jobs)
 	if err != nil {
 		return fatal(err)
 	}
-	hbCtrs := make([]hotblock.Counters, len(modes))
-	for i := range jl {
-		jl[i].HotBlock = &hbCtrs[i]
-	}
-	runs, errs := sched.RunJobsAll(*jobs, jl)
+	runs, errs, ests := rep.Runs, rep.Errs, rep.Ests
 
 	if *traceJSON != "" {
 		// Re-simulate the traced mode with the event recorder attached
@@ -215,21 +220,6 @@ func run() int {
 			return fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "fgstpsim: pipeline trace (%s mode) written to %s\n", traced, *traceJSON)
-	}
-
-	var ests []experiments.SimEstimate
-	if *simpointN > 0 {
-		// Checkpointed sampled estimates: one functional-warming pass per
-		// mode captures restartable snapshots at the chosen slices, then
-		// only warmup+interval instructions per representative simulate in
-		// detail, fanned out over the worker pool. The estimates join the
-		// report (fgstp.sim/1 carries them next to the full runs) and the
-		// footer compares them against the full-run IPC.
-		ests = experiments.SimpointEstimates(m, tr, modes, experiments.SimpointParams{
-			Interval: *simpointN,
-			Warmup:   -1,
-			Jobs:     *jobs,
-		})
 	}
 
 	failed := 0
@@ -257,8 +247,10 @@ func run() int {
 		}
 		fmt.Fprintln(banner, line)
 	}
+	fmt.Fprintf(os.Stderr, "fgstpsim: report %d tasks on %d workers, busy %.2f s over %.2f s (utilization %.2f)\n",
+		rep.Tasks, rep.Workers, rep.Busy.Seconds(), rep.Wall.Seconds(), rep.Utilization())
 	if *hotBlock {
-		printHotBlockFooter(hbCtrs, modes, runs, errs)
+		printHotBlockFooter(rep.HotBlock, modes, runs, errs)
 	}
 	if rss, ok := metrics.PeakRSS(); ok {
 		fmt.Fprintf(os.Stderr, "fgstpsim: peak RSS %.1f MiB\n", float64(rss)/(1<<20))

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -25,12 +26,15 @@ func TestSimpointEstimateSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := cmp.Run(m, cmp.ModeFgSTP, tr)
+	rep, err := experiments.RunSim(context.Background(), m, tr, []cmp.Mode{cmp.ModeFgSTP}, "",
+		experiments.SimpointParams{Interval: 2_000, Warmup: -1}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ests := experiments.SimpointEstimates(m, tr, []cmp.Mode{cmp.ModeFgSTP},
-		experiments.SimpointParams{Interval: 2_000, Warmup: -1, Jobs: 1})
+	if rep.Errs[0] != nil {
+		t.Fatal(rep.Errs[0])
+	}
+	full, ests := rep.Runs[0], rep.Ests
 	if len(ests) != 1 {
 		t.Fatalf("%d estimates, want 1", len(ests))
 	}

@@ -1,6 +1,9 @@
 package experiments
 
 import (
+	"context"
+	"sync"
+
 	"repro/internal/cmp"
 	"repro/internal/config"
 	"repro/internal/simpoint"
@@ -14,7 +17,8 @@ const DefaultSimpointK = 8
 
 // SimpointParams bundles the knobs of a checkpointed sampled run.
 type SimpointParams struct {
-	// Interval is the SimPoint interval length in instructions.
+	// Interval is the SimPoint interval length in instructions; <= 0
+	// turns sampling off.
 	Interval int
 	// K is the cluster-count request; <= 0 picks DefaultSimpointK.
 	K int
@@ -22,8 +26,6 @@ type SimpointParams struct {
 	// one full interval (the standard choice — long enough to absorb
 	// residual cold-start state the functional warmer cannot model).
 	Warmup int
-	// Jobs caps the per-mode slice fan-out; <= 0 picks GOMAXPROCS.
-	Jobs int
 }
 
 func (p SimpointParams) k() int {
@@ -57,52 +59,75 @@ type SimEstimate struct {
 	TraceInsts   uint64  `json:"trace_insts,omitempty"`
 }
 
-// SimpointEstimates produces one sampled estimate per mode: SimPoint
-// representative selection once over the trace (the signature pipeline
-// is mode-independent), then per mode a checkpoint capture pass and the
-// parallel slice fan-out of simpoint.EstimateCPI. Per-mode failures are
-// recorded in the estimate rather than aborting the sweep, mirroring
-// how SimJobs reports mode failures.
-func SimpointEstimates(m config.Machine, tr *trace.Trace, modes []cmp.Mode, p SimpointParams) []SimEstimate {
-	out := make([]SimEstimate, len(modes))
-	for i, md := range modes {
-		out[i] = SimEstimate{Mode: string(md), Interval: p.Interval, Warmup: p.warmup()}
+// sampler computes the sampled estimates of one report, one estimate
+// task per mode on the report's worker pool (see RunSim).
+// Representative selection is mode-independent, so the first estimate
+// task to start makes it once for every mode; it then overlaps the
+// full runs still in flight on the other workers.
+type sampler struct {
+	m  config.Machine
+	tr *trace.Trace
+	p  SimpointParams
+
+	once       sync.Once
+	reps       []simpoint.Representative
+	boundaries []int // checkpoint positions: each slice's warmup start
+	err        error
+}
+
+func (s *sampler) choose() {
+	s.reps, s.err = simpoint.Choose(s.tr, s.p.Interval, s.p.k())
+	if s.err != nil {
+		return
 	}
-	reps, err := simpoint.Choose(tr, p.Interval, p.k())
+	slices, err := simpoint.Slices(s.reps, s.p.Interval, s.p.warmup(), s.tr.Len())
 	if err != nil {
-		for i := range out {
-			out[i].Error = err.Error()
-		}
-		return out
+		s.err = err
+		return
 	}
-	slices, err := simpoint.Slices(reps, p.Interval, p.warmup(), tr.Len())
+	s.boundaries = make([]int, len(slices))
+	for i, sl := range slices {
+		s.boundaries[i] = sl.WStart
+	}
+}
+
+// estimate fills e with md's sampled estimate: one checkpoint capture
+// pass, then the slices one after another on the calling worker — the
+// report's pool, not a nested fan-out, bounds how many simulations run
+// at once. Aggregation is in representative order, so the estimate is
+// the same at any pool size. Once ctx is done no further slice starts
+// and ctx's error is returned.
+func (s *sampler) estimate(ctx context.Context, md cmp.Mode, e *SimEstimate) error {
+	s.once.Do(s.choose)
+	if s.err != nil {
+		return s.err
+	}
+	sim, err := cmp.NewSliceSim(s.m, md, s.tr, s.boundaries)
 	if err != nil {
-		for i := range out {
-			out[i].Error = err.Error()
-		}
-		return out
+		return err
 	}
-	boundaries := make([]int, len(slices))
-	for i, s := range slices {
-		boundaries[i] = s.WStart
+	est, err := simpoint.EstimateCPI(s.reps, s.p.Interval, s.p.warmup(), s.tr.Len(), 1, ctxSlices(ctx, sim.Run))
+	if err != nil {
+		return err
 	}
-	for i, md := range modes {
-		sim, err := cmp.NewSliceSim(m, md, tr, boundaries)
-		if err != nil {
-			out[i].Error = err.Error()
-			continue
+	e.Points = est.Points
+	e.IPC = est.IPC
+	e.IPCLow = est.IPCLow
+	e.IPCHigh = est.IPCHigh
+	e.SampledInsts = est.SampledInsts
+	e.TraceInsts = est.TraceInsts
+	return nil
+}
+
+// ctxSlices guards a slice simulator with ctx: once ctx is done, a
+// slice fails with ctx's error instead of simulating. Each slice is
+// bounded by the livelock watchdog, so an estimate outlives its
+// deadline by at most one slice.
+func ctxSlices(ctx context.Context, fn simpoint.SliceFn) simpoint.SliceFn {
+	return func(wstart, start, end int) (uint64, uint64, error) {
+		if err := ctx.Err(); err != nil {
+			return 0, 0, err
 		}
-		est, err := simpoint.EstimateCPI(reps, p.Interval, p.warmup(), tr.Len(), p.Jobs, sim.Run)
-		if err != nil {
-			out[i].Error = err.Error()
-			continue
-		}
-		out[i].Points = est.Points
-		out[i].IPC = est.IPC
-		out[i].IPCLow = est.IPCLow
-		out[i].IPCHigh = est.IPCHigh
-		out[i].SampledInsts = est.SampledInsts
-		out[i].TraceInsts = est.TraceInsts
+		return fn(wstart, start, end)
 	}
-	return out
 }

@@ -1,15 +1,20 @@
 package experiments
 
 import (
+	"context"
 	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"io"
+	"sort"
 	"strconv"
+	"sync/atomic"
+	"time"
 
 	"repro/internal/cmp"
 	"repro/internal/config"
 	"repro/internal/faults"
+	"repro/internal/hotblock"
 	"repro/internal/sched"
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -51,6 +56,149 @@ func SimJobs(m config.Machine, tr *trace.Trace, modes []cmp.Mode, inject string)
 		}
 	}
 	return jl, nil
+}
+
+// SimReport is one simulation report before rendering. Runs, Errs,
+// HotBlock and Ests are indexed like the modes it was run for: the full
+// run or its error, that run's hot-block telemetry and, when sampling
+// was requested (Ests is nil otherwise), the sampled estimate. The
+// remaining fields describe how the report used its worker pool; they
+// never enter a rendered document.
+type SimReport struct {
+	Runs     []stats.Run
+	Errs     []error
+	Ests     []SimEstimate
+	HotBlock []hotblock.Counters
+
+	// Tasks counts the pool's tasks (a full run per mode, plus an
+	// estimate per mode when sampling) and Workers its size. Busy sums
+	// the tasks' run times; Wall spans the whole pool.
+	Tasks   int
+	Workers int
+	Busy    time.Duration
+	Wall    time.Duration
+}
+
+// Utilization is the share of the pool's worker time spent in tasks:
+// Busy over Workers × Wall.
+func (r *SimReport) Utilization() float64 {
+	if r.Workers == 0 || r.Wall <= 0 {
+		return 0
+	}
+	return float64(r.Busy) / (float64(r.Workers) * float64(r.Wall))
+}
+
+// RunSim runs one simulation report, the single entry point of fgstpsim
+// and fgstpd's /v1/sim: the full run of every mode over the shared
+// trace (the SimJobs jobs, so inject, failure tags and panic
+// containment are theirs) and, when p.Interval > 0, every mode's
+// checkpointed SimPoint estimate. All of them form one task list on one
+// pool of jobs workers (<= 0 picks GOMAXPROCS), started longest first
+// (see simTasks). Every result lands at its mode's index and an
+// estimate computes the same numbers at any pool size, so the rendered
+// report is byte-identical for any jobs. A failed full run or estimate
+// is recorded at its index while the other tasks run on.
+//
+// The error is SimJobs' for an unknown inject, or ctx's once ctx is
+// done: tasks not yet started are then skipped, estimates stop between
+// slices, and the report must not be published.
+func RunSim(ctx context.Context, m config.Machine, tr *trace.Trace, modes []cmp.Mode, inject string, p SimpointParams, jobs int) (SimReport, error) {
+	jl, err := SimJobs(m, tr, modes, inject)
+	if err != nil {
+		return SimReport{}, err
+	}
+	rep := SimReport{
+		Runs:     make([]stats.Run, len(modes)),
+		Errs:     make([]error, len(modes)),
+		HotBlock: make([]hotblock.Counters, len(modes)),
+	}
+	for i := range jl {
+		jl[i].HotBlock = &rep.HotBlock[i]
+	}
+	var sp *sampler
+	if p.Interval > 0 {
+		sp = &sampler{m: m, tr: tr, p: p}
+		rep.Ests = make([]SimEstimate, len(modes))
+		for i, md := range modes {
+			rep.Ests[i] = SimEstimate{Mode: string(md), Interval: p.Interval, Warmup: p.warmup()}
+		}
+	}
+	tasks := simTasks(modes, sp != nil)
+	rep.Tasks = len(tasks)
+	rep.Workers = min(sched.Workers(jobs), len(tasks))
+
+	var busy atomic.Int64
+	t0 := time.Now()
+	_, errs := sched.MapAllCtx(ctx, jobs, tasks, func(t simTask) (struct{}, error) {
+		defer func(start time.Time) { busy.Add(int64(time.Since(start))) }(time.Now())
+		if t.estimate {
+			return struct{}{}, sp.estimate(ctx, modes[t.mode], &rep.Ests[t.mode])
+		}
+		var err error
+		rep.Runs[t.mode], err = jl[t.mode].Run()
+		return struct{}{}, err
+	})
+	rep.Wall = time.Since(t0)
+	rep.Busy = time.Duration(busy.Load())
+	for k, t := range tasks {
+		switch {
+		case errs[k] == nil:
+		case t.estimate:
+			rep.Ests[t.mode].Error = errs[k].Error()
+		default:
+			rep.Errs[t.mode] = errs[k]
+		}
+	}
+	return rep, ctx.Err()
+}
+
+// simTask is one task of a report's pool: the full run of modes[mode],
+// or its sampled estimate.
+type simTask struct {
+	mode     int
+	estimate bool
+}
+
+// simTasks orders a report's tasks longest first, so that on a small
+// pool the slowest task starts at once and the others fill the
+// remaining workers around it instead of queueing behind it. The full
+// runs come first, costliest mode first (see hostCostRank); the
+// estimates, each a fraction of its full run, follow in the same mode
+// order. The order is fixed by mode alone and decides only when a task
+// starts, never what it computes.
+func simTasks(modes []cmp.Mode, sampled bool) []simTask {
+	order := make([]int, len(modes))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool {
+		return hostCostRank(modes[order[a]]) < hostCostRank(modes[order[b]])
+	})
+	tasks := make([]simTask, 0, 2*len(modes))
+	for _, i := range order {
+		tasks = append(tasks, simTask{mode: i})
+	}
+	if sampled {
+		for _, i := range order {
+			tasks = append(tasks, simTask{mode: i, estimate: true})
+		}
+	}
+	return tasks
+}
+
+// hostCostRank ranks modes by host time per simulated instruction,
+// costliest first. The Fg-STP pair ticks two cores and the channel
+// between them; on the whole-program benchmark it costs about 2.3×
+// Core Fusion's one wide core and 3.5× single's one narrow core.
+func hostCostRank(md cmp.Mode) int {
+	switch md {
+	case cmp.ModeFgSTP:
+		return 0
+	case cmp.ModeFusion:
+		return 1
+	default:
+		return 2
+	}
 }
 
 // WriteSimJSON emits the runs as one fgstp.sim/1 JSON document; failed

@@ -34,7 +34,7 @@ func TestBasicOps(t *testing.T) {
 func TestAliasedKeysSpill(t *testing.T) {
 	tb := New[int](16) // ring size 16
 	tb.Put(3, 100)
-	tb.Put(3+16, 200)  // same slot, different key
+	tb.Put(3+16, 200) // same slot, different key
 	tb.Put(3+32, 300)
 	if v, ok := tb.Get(3); !ok || v != 100 {
 		t.Fatalf("Get(3) = %d,%v", v, ok)

@@ -105,11 +105,11 @@ func WriteChromeTrace(w io.Writer, events []Event, meta map[string]string) error
 
 	for _, e := range events {
 		te := traceEvent{
-			Name:  eventName(e),
-			TS:    e.Cycle,
-			PID:   pidOf(e.Core),
-			TID:   tidOf(e.Kind),
-			Args:  map[string]any{"gseq": e.GSeq},
+			Name: eventName(e),
+			TS:   e.Cycle,
+			PID:  pidOf(e.Core),
+			TID:  tidOf(e.Kind),
+			Args: map[string]any{"gseq": e.GSeq},
 		}
 		if e.Dur > 0 {
 			te.Phase = "X"

@@ -18,12 +18,12 @@ type commitRecorder struct {
 }
 
 func (h *commitRecorder) ExtReadyAt(u *UOp, srcIdx int, now int64) int64 { return 0 }
-func (h *commitRecorder) LoadGate(u *UOp, now int64) (bool, bool)       { return true, false }
-func (h *commitRecorder) LoadExtraLatency(u *UOp) int                   { return 0 }
-func (h *commitRecorder) OnIssue(u *UOp, now int64)                     {}
-func (h *commitRecorder) OnComplete(u *UOp, now int64)                  {}
-func (h *commitRecorder) CanCommit(u *UOp, now int64) bool              { return true }
-func (h *commitRecorder) OnViolation(gseq uint64, now int64) bool       { return false }
+func (h *commitRecorder) LoadGate(u *UOp, now int64) (bool, bool)        { return true, false }
+func (h *commitRecorder) LoadExtraLatency(u *UOp) int                    { return 0 }
+func (h *commitRecorder) OnIssue(u *UOp, now int64)                      {}
+func (h *commitRecorder) OnComplete(u *UOp, now int64)                   {}
+func (h *commitRecorder) CanCommit(u *UOp, now int64) bool               { return true }
+func (h *commitRecorder) OnViolation(gseq uint64, now int64) bool        { return false }
 
 func (h *commitRecorder) OnCommit(u *UOp, now int64) {
 	if h.ptrs == nil {

@@ -240,11 +240,18 @@ func (e *Executor) Step() (d isa.DynInst, ok bool) {
 // Run executes up to max dynamic instructions (0 means unbounded),
 // passing each record to sink. sink may return false to stop early.
 // Run returns the number of instructions executed.
+//
+// The record sink receives is reused for every instruction of the run
+// (one allocation per Run, none per instruction): a sink that keeps an
+// instruction must copy *d.
 func (e *Executor) Run(max uint64, sink func(*isa.DynInst) bool) uint64 {
-	var n uint64
+	var (
+		n  uint64
+		d  isa.DynInst
+		ok bool
+	)
 	for max == 0 || n < max {
-		d, ok := e.Step()
-		if !ok {
+		if d, ok = e.Step(); !ok {
 			break
 		}
 		n++

@@ -347,6 +347,41 @@ func TestExecSinkEarlyStop(t *testing.T) {
 	}
 }
 
+// TestRunNoAllocsPerInst pins Executor.Run at zero allocations per
+// instruction, with and without a sink: the record handed to the sink
+// is reused, so a run allocates at most once however long it is.
+// Trace capture runs every instruction of every workload through here.
+func TestRunNoAllocsPerInst(t *testing.T) {
+	src := `
+	loop:
+		ld r2, 0(r1)
+		addi r2, r2, 1
+		st r2, 0(r1)
+		j loop
+		halt`
+	e := NewExecutor(MustAssemble("allocs", src))
+	e.Run(8, nil) // first touch of the data page
+	var last isa.DynInst
+	copySink := func(d *isa.DynInst) bool { last = *d; return true }
+	const insts = 1000
+	for _, tc := range []struct {
+		name string
+		sink func(*isa.DynInst) bool
+	}{{"copying sink", copySink}, {"nil sink", nil}} {
+		allocs := testing.AllocsPerRun(20, func() {
+			if n := e.Run(insts, tc.sink); n != insts {
+				t.Fatalf("ran %d instructions, want %d", n, insts)
+			}
+		})
+		if allocs > 1 {
+			t.Errorf("%s: %.0f allocations per %d-instruction run, want at most 1", tc.name, allocs, insts)
+		}
+	}
+	if last.Seq == 0 {
+		t.Error("copying sink saw no instructions")
+	}
+}
+
 func TestMemorySparse(t *testing.T) {
 	m := NewMemory()
 	if m.Load(0xdead000) != 0 {

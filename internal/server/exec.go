@@ -13,7 +13,6 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/hotblock"
 	"repro/internal/resultcache"
-	"repro/internal/sched"
 	"repro/internal/trace"
 	"repro/internal/workloads"
 )
@@ -130,7 +129,8 @@ type SimRequest struct {
 	Insts uint64 `json:"insts,omitempty"`
 	// Format selects the rendering: text, json (default) or csv.
 	Format string `json:"format,omitempty"`
-	// Jobs is the per-mode fan-out; not part of the cache key (output is
+	// Jobs bounds the report's worker pool, which runs every full run
+	// and sampled estimate; not part of the cache key (output is
 	// byte-identical for any value).
 	Jobs int `json:"jobs,omitempty"`
 	// Inject arms a fault on the Fg-STP mode: "livelock" stalls the
@@ -337,28 +337,25 @@ func (e engineExecutor) Bench(ctx context.Context, req *BenchRequest) ([]byte, i
 }
 
 func (e engineExecutor) Sim(ctx context.Context, req *SimRequest) ([]byte, int, error) {
-	jl, err := experiments.SimJobs(req.m, req.tr, req.modes, req.Inject)
-	if err != nil {
-		return nil, 0, err
-	}
-	// Per-job telemetry counters, merged into the daemon aggregate after
-	// the fan-out (the same pattern fgstpsim uses for its coverage
-	// footer): jobs run concurrently, so each needs its own Counters.
-	hbc := make([]hotblock.Counters, len(jl))
-	for i := range jl {
-		jl[i].HotBlock = &hbc[i]
-	}
-	runs, errs := sched.RunJobsAllCtx(ctx, req.Jobs, jl)
+	rep, err := experiments.RunSim(ctx, req.m, req.tr, req.modes, req.Inject,
+		experiments.SimpointParams{Interval: req.SimpointInterval, Warmup: -1}, req.Jobs)
+	// Per-mode telemetry counters, merged into the daemon aggregate (the
+	// fgstpsim coverage footer reads the same counters).
 	if e.srv != nil {
 		var hb hotblock.Counters
-		for i := range hbc {
-			hb.Merge(hbc[i])
+		for i := range rep.HotBlock {
+			hb.Merge(rep.HotBlock[i])
 		}
 		e.srv.mergeHotBlock(hb)
 	}
+	// A deadline or cancellation during the report (504) leaves it
+	// incomplete or late: nothing is rendered, so nothing is cached.
+	if err != nil {
+		return nil, 0, err
+	}
 	failed := 0
 	var firstErr error
-	for _, e := range errs {
+	for _, e := range rep.Errs {
 		if e != nil {
 			failed++
 			if firstErr == nil {
@@ -368,26 +365,12 @@ func (e engineExecutor) Sim(ctx context.Context, req *SimRequest) ([]byte, int, 
 	}
 	// Every requested mode failed: there is no document worth rendering,
 	// surface the failure itself (classified by the server into 422 for
-	// livelock, 500 for a contained panic, 504 for deadline/cancel).
+	// livelock, 500 for a contained panic).
 	if failed == len(req.modes) {
-		if err := ctx.Err(); err != nil {
-			return nil, 0, err
-		}
 		return nil, 0, firstErr
 	}
-	var ests []experiments.SimEstimate
-	if req.SimpointInterval > 0 {
-		// Each slice simulation is bounded by the livelock watchdog and
-		// the functional pass is linear in the trace, so the estimate
-		// sweep cannot outlive the deadline by more than one slice.
-		ests = experiments.SimpointEstimates(req.m, req.tr, req.modes, experiments.SimpointParams{
-			Interval: req.SimpointInterval,
-			Warmup:   -1,
-			Jobs:     req.Jobs,
-		})
-	}
 	var buf bytes.Buffer
-	if err := experiments.WriteSimFormatEst(&buf, req.Format, req.m.Name, req.tr, req.modes, runs, errs, ests); err != nil {
+	if err := experiments.WriteSimFormatEst(&buf, req.Format, req.m.Name, req.tr, req.modes, rep.Runs, rep.Errs, rep.Ests); err != nil {
 		return nil, 0, err
 	}
 	exit := 0

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -488,6 +489,52 @@ func TestDeadline(t *testing.T) {
 	}
 	if k := errKind(t, w); k != "timeout" {
 		t.Fatalf("kind = %q, want timeout", k)
+	}
+}
+
+// expiringCtx times out after its first n Err calls.
+type expiringCtx struct {
+	context.Context
+	n atomic.Int64
+}
+
+func (c *expiringCtx) Err() error {
+	if c.n.Add(-1) < 0 {
+		return context.DeadlineExceeded
+	}
+	return nil
+}
+
+// lateEstimatesExec runs the real engine under a deadline that passes
+// while a one-worker sampled report computes its first estimate: the
+// report checks its context once before each task and each estimate
+// slice, so the full runs and the first estimate start, and the
+// estimate's first slice sees the deadline.
+type lateEstimatesExec struct{ engineExecutor }
+
+func (x lateEstimatesExec) Sim(ctx context.Context, req *SimRequest) ([]byte, int, error) {
+	late := &expiringCtx{Context: ctx}
+	late.n.Store(int64(len(req.modes) + 1))
+	return x.engineExecutor.Sim(late, req)
+}
+
+// TestSimDeadlineDuringEstimates: a deadline that passes after a sampled
+// request's full runs, while its estimates compute, fails the request
+// with a 504 timeout and caches nothing, so a repeat computes again.
+func TestSimDeadlineDuringEstimates(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1, CacheDir: t.TempDir(), Exec: lateEstimatesExec{}})
+	req := SimRequest{Workload: "mcf", Machine: "small", Insts: 4000, Format: "json", SimpointInterval: 1000, Jobs: 1}
+	for i := 0; i < 2; i++ {
+		w := post(t, s, "/v1/sim", "t", req)
+		if w.Code != http.StatusGatewayTimeout {
+			t.Fatalf("request %d = %d, want 504\n%s", i, w.Code, w.Body.String())
+		}
+		if k := errKind(t, w); k != "timeout" {
+			t.Fatalf("request %d kind = %q, want timeout", i, k)
+		}
+	}
+	if keys, err := s.cache.Keys(); err != nil || len(keys) != 0 {
+		t.Fatalf("cache holds %d entries (err %v) after timed-out requests, want none", len(keys), err)
 	}
 }
 

@@ -28,7 +28,8 @@
 #   sampled smoke   scripts/simpointcheck on a fixed workload set: the
 #                   checkpointed SimPoint estimate's 95% confidence
 #                   interval must contain the full-run IPC in every
-#                   machine mode
+#                   machine mode; plus a sampled fgstpsim report
+#                   (-simpoint) byte-identical for -jobs 1 and -jobs 4
 #   service smoke   fgstpd end to end: start the daemon, submit a job
 #                   over HTTP, the response must be byte-identical to
 #                   fgstpbench stdout (uncached and cached); stream a
@@ -125,8 +126,18 @@ periodic="$(awk '$2 == "hotblock_templates_periodic" {print int($3)}' "$tmp/hb_m
 [ -n "$periodic" ] && [ "$periodic" -gt 0 ] || {
     echo "streaming workload mcf armed no periodic-miss templates"; cat "$tmp/hb_mcf.log"; exit 1; }
 
-echo "== sampled-accuracy smoke (estimate CI covers full-run IPC)"
+echo "== sampled-accuracy smoke (estimate CI covers full-run IPC, jobs-determinism)"
 go run ./scripts/simpointcheck
+# Full runs and estimates share one pool, longest task first: the
+# schedule changes with -jobs, the document must not.
+"$tmp/fgstpsim" -workload calculix -insts 50000 -simpoint 5000 -format json -jobs 1 \
+    >"$tmp/sampled1.json" 2>/dev/null
+"$tmp/fgstpsim" -workload calculix -insts 50000 -simpoint 5000 -format json -jobs 4 \
+    >"$tmp/sampled4.json" 2>/dev/null
+cmp "$tmp/sampled1.json" "$tmp/sampled4.json" || {
+    echo "sampled fgstpsim report differs between -jobs 1 and -jobs 4"; exit 1; }
+grep -q '"simpoint"' "$tmp/sampled1.json" || {
+    echo "sampled fgstpsim report has no simpoint block"; exit 1; }
 
 echo "== service smoke (fgstpd byte-identity, cache, graceful drain)"
 go build -o "$tmp/fgstpd" ./cmd/fgstpd

@@ -14,6 +14,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -35,7 +36,7 @@ func run() int {
 		machine  = flag.String("machine", "medium", "machine preset: small | medium")
 		insts    = flag.Uint64("insts", 60_000, "full-trace length per workload")
 		interval = flag.Int("interval", 5_000, "SimPoint interval (instructions)")
-		jobs     = flag.Int("jobs", 0, "slice fan-out (<= 0: GOMAXPROCS)")
+		jobs     = flag.Int("jobs", 0, "workers for each workload's full runs and estimates (<= 0: GOMAXPROCS)")
 		verbose  = flag.Bool("v", false, "print every comparison, not just failures")
 	)
 	flag.Parse()
@@ -60,25 +61,25 @@ func run() int {
 			return 2
 		}
 		tr := w.Trace(*insts)
-		ests := experiments.SimpointEstimates(m, tr, cmp.Modes(), experiments.SimpointParams{
-			Interval: *interval,
-			Warmup:   -1,
-			Jobs:     *jobs,
-		})
+		rep, err := experiments.RunSim(context.Background(), m, tr, cmp.Modes(), "",
+			experiments.SimpointParams{Interval: *interval, Warmup: -1}, *jobs)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "simpointcheck:", err)
+			return 2
+		}
 		for i, mode := range cmp.Modes() {
-			e := ests[i]
+			e := rep.Ests[i]
 			if e.Error != "" {
 				fmt.Printf("FAIL %-10s %-12s estimate failed: %s\n", name, mode, e.Error)
 				failures++
 				continue
 			}
-			full, err := cmp.Run(m, mode, tr)
-			if err != nil {
+			if err := rep.Errs[i]; err != nil {
 				fmt.Printf("FAIL %-10s %-12s full run failed: %v\n", name, mode, err)
 				failures++
 				continue
 			}
-			fullIPC := full.IPC()
+			fullIPC := rep.Runs[i].IPC()
 			ok := fullIPC >= e.IPCLow && fullIPC <= e.IPCHigh
 			if !ok {
 				failures++
