@@ -20,14 +20,12 @@
 //	fgstpbench -format json            # machine-readable output (text, json, csv)
 //	fgstpbench -list                   # enumerate experiments
 //	fgstpbench -inject mcf             # poison one workload (fault-injection demo)
-//	fgstpbench -hotblock=0             # disable hot-block timing memoization
 //	fgstpbench -cpuprofile cpu.pprof   # write a CPU profile (go tool pprof)
 //	fgstpbench -memprofile mem.pprof   # write a heap profile at exit
 //
-// Hot-block memoization (-hotblock, default on) replays captured timing
-// templates of steady-state loops instead of re-simulating them cycle
-// by cycle. It is a pure speedup: output is byte-identical either way
-// (the replay engine refuses any span it cannot prove exact).
+// -hotblock is accepted and ignored: it switched the hot-block timing
+// memoization engine, which is gone (see DESIGN.md, "Removed: hot-block
+// timing memoization").
 //
 // Failed simulation cells never abort the evaluation: they render as
 // FAIL(reason) in the tables, drop out of the geomeans (noted per
@@ -52,7 +50,6 @@ import (
 	"time"
 
 	"repro/internal/experiments"
-	"repro/internal/hotblock"
 	"repro/internal/metrics"
 	"repro/internal/sched"
 	"repro/internal/workloads"
@@ -72,14 +69,11 @@ func run() int {
 		format     = flag.String("format", "text", "output format: text, json or csv")
 		list       = flag.Bool("list", false, "list experiments and exit")
 		inject     = flag.String("inject", "", "poison this workload: its Fg-STP runs get a stalled inter-core channel")
-		hotBlock   = flag.Bool("hotblock", true, "hot-block timing memoization (output is byte-identical on or off)")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file at exit")
 	)
+	flag.Bool("hotblock", true, "deprecated, ignored")
 	flag.Parse()
-	// The experiment harness reaches its simulations through cmp.Run
-	// defaults; the process-wide switch gates them all at once.
-	hotblock.SetDefaultDisabled(!*hotBlock)
 
 	if *list {
 		for _, id := range experiments.IDs() {

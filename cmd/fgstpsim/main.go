@@ -40,15 +40,13 @@
 //	                 inter-core channel from cycle 0; "panic" makes the
 //	                 first channel poll panic inside the engine (the
 //	                 scheduler contains it as a structured failure)
-//	-hotblock        hot-block timing memoization (default on; output is
-//	                 byte-identical on or off — disable to time the
-//	                 plain engine). Replay telemetry (templates, replays,
-//	                 replayed-cycle coverage) prints to stderr.
+//	-hotblock        deprecated and ignored: it switched the deleted
+//	                 hot-block timing memoization engine
 //
 // A failed mode renders as a FAILED line; the other modes still
 // report. Stderr ends with footers that never reach stdout: the
 // report's pool use ("report 6 tasks on 2 workers, busy … over …
-// (utilization …)"), hot-block replay telemetry and peak RSS.
+// (utilization …)") and peak RSS.
 // Exit codes:
 //
 //	0  every requested mode simulated successfully
@@ -68,7 +66,6 @@ import (
 	"repro/internal/cmp"
 	"repro/internal/config"
 	"repro/internal/experiments"
-	"repro/internal/hotblock"
 	"repro/internal/metrics"
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -99,10 +96,9 @@ func run() int {
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file at exit")
 		inject     = flag.String("inject", "", "fault to inject: \"livelock\" stalls the Fg-STP inter-core channel; \"panic\" panics inside the engine (contained)")
 		simpointN  = flag.Int("simpoint", 0, "SimPoint interval size in instructions (0 = no sampled estimate)")
-		hotBlock   = flag.Bool("hotblock", true, "hot-block timing memoization (output is byte-identical on or off)")
 	)
+	flag.Bool("hotblock", true, "deprecated, ignored")
 	flag.Parse()
-	hotblock.SetDefaultDisabled(!*hotBlock)
 
 	if *list {
 		listWorkloads()
@@ -249,9 +245,6 @@ func run() int {
 	}
 	fmt.Fprintf(os.Stderr, "fgstpsim: report %d tasks on %d workers, busy %.2f s over %.2f s (utilization %.2f)\n",
 		rep.Tasks, rep.Workers, rep.Busy.Seconds(), rep.Wall.Seconds(), rep.Utilization())
-	if *hotBlock {
-		printHotBlockFooter(rep.HotBlock, modes, runs, errs)
-	}
 	if rss, ok := metrics.PeakRSS(); ok {
 		fmt.Fprintf(os.Stderr, "fgstpsim: peak RSS %.1f MiB\n", float64(rss)/(1<<20))
 	}
@@ -280,34 +273,6 @@ func writeChromeTrace(path string, m config.Machine, md cmp.Mode, tr *trace.Trac
 		"mode":     string(md),
 	}
 	return metrics.WriteChromeTraceRecorder(f, rec, meta)
-}
-
-// printHotBlockFooter aggregates the per-mode replay telemetry into a
-// metrics registry under the hotblock_* export names and reports replay
-// coverage on stderr — the side channel keeps the stdout report
-// byte-identical with memoization on or off. Only single and
-// corefusion replay; fgstp cycles count toward the coverage denominator
-// but the pair's hooked cores never replay.
-func printHotBlockFooter(ctrs []hotblock.Counters, modes []cmp.Mode, runs []stats.Run, errs []error) {
-	var agg hotblock.Counters
-	var cycles uint64
-	for i := range ctrs {
-		agg.Merge(ctrs[i])
-		if errs[i] == nil {
-			cycles += runs[i].Cycles
-		}
-	}
-	reg := metrics.NewRegistry()
-	agg.AddTo(reg)
-	cov := 0.0
-	if cycles > 0 {
-		cov = 100 * float64(agg.ReplayedCycles) / float64(cycles)
-	}
-	fmt.Fprintf(os.Stderr, "fgstpsim: hotblock replay coverage %.1f%% (%d of %d cycles, %d replays of %d templates)\n",
-		cov, agg.ReplayedCycles, cycles, agg.Replays, agg.Templates)
-	for _, s := range reg.Sorted() {
-		fmt.Fprintf(os.Stderr, "fgstpsim:   %-32s %.0f\n", s.Name, s.Value)
-	}
 }
 
 func loadMachine(preset, path string) (config.Machine, error) {

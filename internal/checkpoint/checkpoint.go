@@ -12,11 +12,9 @@
 // over the trace that updates predictors and caches without detailed
 // timing — and consumed by the restore constructors of the three
 // machine modes (ooo.NewCoreAt, corefusion.NewFusedAt,
-// core.NewMachineAt). Serialization is versioned and deterministic
-// (Encode/Decode in codec.go): the same snapshot always encodes to the
-// same bytes, and a decode of those bytes restores into a machine that
-// simulates byte-identically to one restored from the in-memory
-// snapshot.
+// core.NewMachineAt). Snapshots live in memory only: the sampled
+// runs (cmp.SliceSim) capture and restore them within one process, so
+// there is no file format.
 //
 // Checkpoints are taken at quiescent points (between instructions, no
 // pipeline state in flight), so warm tables plus the cursor are the

@@ -1,12 +1,10 @@
 package checkpoint
 
 import (
-	"bytes"
+	"reflect"
 	"testing"
 
 	"repro/internal/config"
-	"repro/internal/mem"
-	"repro/internal/ooo"
 	"repro/internal/trace"
 	"repro/internal/workloads"
 )
@@ -42,62 +40,6 @@ func warmSnapshot(t *testing.T, mode string, n int) *Snapshot {
 	return w.Snapshot()
 }
 
-func TestCodecRoundTrip(t *testing.T) {
-	for _, mode := range []string{ModeSingle, ModeFusion, ModeFgSTP} {
-		t.Run(mode, func(t *testing.T) {
-			s := warmSnapshot(t, mode, 15000)
-			b := Encode(s)
-			got, err := Decode(b)
-			if err != nil {
-				t.Fatalf("decode: %v", err)
-			}
-			if got.Mode != s.Mode || got.Pos != s.Pos {
-				t.Fatalf("header mismatch: %q/%d vs %q/%d", got.Mode, got.Pos, s.Mode, s.Pos)
-			}
-			if len(got.Preds) != len(s.Preds) || len(got.Caches) != len(s.Caches) || len(got.Hiers) != len(s.Hiers) {
-				t.Fatalf("shape mismatch: %d/%d/%d vs %d/%d/%d",
-					len(got.Preds), len(got.Caches), len(got.Hiers),
-					len(s.Preds), len(s.Caches), len(s.Hiers))
-			}
-			// Re-encoding the decoded snapshot must reproduce the bytes
-			// exactly: the codec is deterministic and lossless.
-			if !bytes.Equal(Encode(got), b) {
-				t.Fatal("re-encode of decoded snapshot differs from original bytes")
-			}
-		})
-	}
-}
-
-func TestCodecDeterministic(t *testing.T) {
-	a := Encode(warmSnapshot(t, ModeSingle, 12000))
-	b := Encode(warmSnapshot(t, ModeSingle, 12000))
-	if !bytes.Equal(a, b) {
-		t.Fatal("same warming pass produced different encodings")
-	}
-}
-
-func TestDecodeErrors(t *testing.T) {
-	good := Encode(warmSnapshot(t, ModeSingle, 5000))
-
-	if _, err := Decode([]byte("not a checkpoint")); err == nil {
-		t.Error("bad magic accepted")
-	}
-	bad := append([]byte(nil), good...)
-	bad[len(Magic)] = 99 // version field
-	if _, err := Decode(bad); err == nil {
-		t.Error("unknown version accepted")
-	}
-	if _, err := Decode(good[:len(good)/2]); err == nil {
-		t.Error("truncated snapshot accepted")
-	}
-	if _, err := Decode(append(append([]byte(nil), good...), 0xFF)); err == nil {
-		t.Error("trailing bytes accepted")
-	}
-	if _, err := Decode(nil); err == nil {
-		t.Error("empty input accepted")
-	}
-}
-
 func TestWarmerIncrementalMatchesOneShot(t *testing.T) {
 	tr := testTrace(t, "gcc", 20000)
 	m := testMachine(t)
@@ -118,7 +60,7 @@ func TestWarmerIncrementalMatchesOneShot(t *testing.T) {
 	if err := oneShot.AdvanceTo(18000); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(Encode(inc.Snapshot()), Encode(oneShot.Snapshot())) {
+	if !reflect.DeepEqual(inc.Snapshot(), oneShot.Snapshot()) {
 		t.Fatal("incremental advance diverged from a single advance to the same cursor")
 	}
 }
@@ -174,57 +116,6 @@ func TestSnapshotLayouts(t *testing.T) {
 	pair.Caches[0].Tags[0] ^= 0xDEAD
 	if pair.Caches[2].Tags[0] == pair.Caches[0].Tags[0] {
 		t.Error("replicated L1I aliases the warmed array")
-	}
-}
-
-// A core restored from a decoded snapshot must simulate exactly like
-// one restored from the in-memory snapshot: serialization is lossless
-// where it matters — the resimulated timing.
-func TestDecodedSnapshotRestoresIdentically(t *testing.T) {
-	tr := testTrace(t, "mcf", 20000)
-	m := testMachine(t)
-	w, err := NewWarmer(m, ModeSingle, tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.AdvanceTo(10000); err != nil {
-		t.Fatal(err)
-	}
-	snap := w.Snapshot()
-	decoded, err := Decode(Encode(snap))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	slice := tr.Slice(10000, 15000)
-	resim := func(s *Snapshot) (int64, uint64) {
-		t.Helper()
-		hier, err := mem.NewHierarchy(m.Hier)
-		if err != nil {
-			t.Fatal(err)
-		}
-		hs, err := s.HierarchyState()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := hier.SetState(hs); err != nil {
-			t.Fatal(err)
-		}
-		c, err := ooo.NewCoreAt(m.Core, hier, ooo.NewTraceStream(slice), nil, s.CoreWarm())
-		if err != nil {
-			t.Fatal(err)
-		}
-		total, _, err := ooo.DrainMeasured(c, slice.Len(), 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return total, c.Committed()
-	}
-	memCycles, memInsts := resim(snap)
-	decCycles, decInsts := resim(decoded)
-	if memCycles != decCycles || memInsts != decInsts {
-		t.Errorf("decoded snapshot resimulated to %d cycles/%d insts, in-memory to %d/%d",
-			decCycles, decInsts, memCycles, memInsts)
 	}
 }
 

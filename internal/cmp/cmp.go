@@ -26,8 +26,8 @@ import (
 // change that can alter a cycle count, a counter, or an export byte —
 // timing-model changes, new counters, schema or formatting changes —
 // MUST bump this string, or stale cache entries will be served as
-// current results. Pure speedups proven byte-identical (cycle
-// skipping, hot-block replay) do not require a bump.
+// current results. Pure speedups proven byte-identical (event-driven
+// cycle skipping) do not require a bump.
 //
 // Since PR 8 the store also memoises individual simulation *cells*
 // (one Run of one mode on one workload, as JSON-encoded stats.Run
@@ -75,24 +75,17 @@ var ErrLivelock = ooo.ErrLivelock
 // only apply to ModeFgSTP — the other modes have no inter-core channel.
 type Faults = core.Faults
 
-// Options bundles the optional knobs of a run: fault injection, event
-// instrumentation, and hot-block telemetry. The zero value reproduces
-// Run.
+// Options bundles the optional knobs of a run: fault injection and
+// event instrumentation. The zero value reproduces Run.
 type Options struct {
 	// Faults optionally injects deterministic faults into the run; only
 	// ModeFgSTP has an inter-core channel to stall.
 	Faults Faults
-	// Sink receives pipeline events from the machine under test;
-	// attaching one disables hot-block replay (replayed spans emit no
-	// per-uop events). The events render into a Chrome trace via
-	// metrics.WriteChromeTrace.
+	// Sink receives pipeline events from the machine under test; they
+	// render into a Chrome trace via metrics.WriteChromeTrace.
 	Sink metrics.Sink
-	// HotBlock, when non-nil, receives the run's replay telemetry.
-	// Memoization engages in the single and corefusion modes unless the
-	// process-wide default disables it (hotblock.SetDefaultDisabled);
-	// the Fg-STP pair never replays, so its counters stay zero. The
-	// telemetry never enters the stats.Run summary: experiment output is
-	// byte-identical with memoization on and off.
+	// Deprecated: HotBlock is read by nothing. It stays only because
+	// bench/'s traced run still sets it (ROADMAP item 2).
 	HotBlock *hotblock.Counters
 }
 
@@ -112,9 +105,9 @@ func RunOpts(m config.Machine, mode Mode, tr *trace.Trace, opts Options) (stats.
 	}
 	switch mode {
 	case ModeSingle:
-		return ooo.RunTraceWith(m.Core, m.Hier, tr, ooo.RunOptions{Sink: opts.Sink, HotBlock: opts.HotBlock})
+		return ooo.RunTraceWith(m.Core, m.Hier, tr, ooo.RunOptions{Sink: opts.Sink})
 	case ModeFusion:
-		return corefusion.RunWith(m, tr, ooo.RunOptions{Sink: opts.Sink, HotBlock: opts.HotBlock})
+		return corefusion.RunWith(m, tr, ooo.RunOptions{Sink: opts.Sink})
 	case ModeFgSTP:
 		return core.RunWith(m, tr, core.RunOptions{Faults: opts.Faults, Sink: opts.Sink})
 	default:

@@ -58,9 +58,7 @@ func (e *LivelockError) Error() string {
 func (e *LivelockError) Unwrap() error { return ooo.ErrLivelock }
 
 // RunOptions bundles the optional knobs of an Fg-STP run. The zero
-// value simulates plainly. There are no hot-block knobs: the pair's
-// cores run under cross-core hooks, which ooo's EnableHotBlock declines,
-// so Fg-STP time advances only by ticking and event skip.
+// value simulates plainly.
 type RunOptions struct {
 	// Faults optionally injects deterministic faults (nil: none).
 	// Injected faults that starve the machine surface as a

@@ -95,17 +95,16 @@ func NewFusedAt(m config.Machine, tr *trace.Trace, hs *mem.HierarchyState, warm 
 }
 
 // RunWith simulates tr to completion on the fused configuration of
-// machine m under opts (event sink and hot-block memoization knobs) and
-// returns the run summary. The fused machine is a single ooo.Core
-// with two clusters and no cross-core hooks, so it is replay-eligible
-// exactly like the single-core baseline.
+// machine m under opts (an optional event sink) and returns the run
+// summary. The fused machine is a single ooo.Core with two clusters and
+// no cross-core hooks, so it drains exactly like the single-core
+// baseline.
 func RunWith(m config.Machine, tr *trace.Trace, opts ooo.RunOptions) (stats.Run, error) {
 	core, _, err := NewFused(m, tr)
 	if err != nil {
 		return stats.Run{}, err
 	}
 	core.SetEventSink(opts.Sink, 0)
-	ooo.ApplyHotBlockOptions(core, opts)
 	cycles, err := ooo.Drain(core, tr.Len())
 	if err != nil {
 		return stats.Run{}, err

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/cmp"
 	"repro/internal/config"
-	"repro/internal/hotblock"
 	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/workloads"
@@ -36,15 +35,6 @@ type CellFunc func(m config.Machine, mode cmp.Mode, w workloads.Workload, tr *tr
 // (Session.Poison) never reach the runner: a fault-injected run is
 // deliberately outside any memoisation contract.
 func (s *Session) SetCellRunner(fn CellFunc) { s.r.cell = fn }
-
-// SetHotBlock aggregates the hot-block replay telemetry of every clean
-// cell the session simulates directly on the engine into c (nil
-// detaches). Cells served by an installed CellFunc are outside the
-// aggregate — a memoised cell replays no blocks — so a caller that also
-// installs a cell runner only sees the cells that actually simulated.
-// The counters never enter any rendered document: experiment output is
-// byte-identical with and without a sink attached.
-func (s *Session) SetHotBlock(c *hotblock.Counters) { s.r.hb = c }
 
 // CellConfig is a cell's canonical machine identity: m as JSON with the
 // sections mode never reads blanked (single-core runs read Core and
@@ -78,18 +68,7 @@ func (r *runner) cellRun(m config.Machine, mode cmp.Mode, w workloads.Workload) 
 		if r.cell != nil {
 			return r.cell(m, mode, w, tr)
 		}
-		if r.hb == nil {
-			return cmp.Run(m, mode, tr)
-		}
-		// A telemetry sink is attached: the run gets its own counters
-		// (the engine writes them unsynchronised), folded into the
-		// shared aggregate under the session lock.
-		var local hotblock.Counters
-		run, err := cmp.RunOpts(m, mode, tr, cmp.Options{HotBlock: &local})
-		r.hbMu.Lock()
-		r.hb.Merge(local)
-		r.hbMu.Unlock()
-		return run, err
+		return cmp.Run(m, mode, tr)
 	})
 }
 

@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/cmp"
 	"repro/internal/config"
-	"repro/internal/hotblock"
 	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/workloads"
@@ -118,38 +117,6 @@ func TestCellRunnerByteIdentity(t *testing.T) {
 	}
 	if int(calls.Load()) != len(cells) {
 		t.Fatalf("runner saw %d cells, enumeration says %d", calls.Load(), len(cells))
-	}
-}
-
-// TestSessionHotBlockTelemetry: a session-level telemetry sink
-// aggregates the hot-block counters of every directly simulated cell —
-// nonzero single and corefusion replays at a budget where the
-// loop-heavy workloads arm — without perturbing the rendered document
-// by a byte.
-func TestSessionHotBlockTelemetry(t *testing.T) {
-	const insts = 20_000
-	render := func(s *Session) []byte {
-		t.Helper()
-		res, err := s.Run("E2")
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := WriteFormat(&buf, "json", insts, []*Result{res}); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	want := render(NewSession(insts, 0))
-	var hb hotblock.Counters
-	s := NewSession(insts, 0)
-	s.SetHotBlock(&hb)
-	got := render(s)
-	if !bytes.Equal(want, got) {
-		t.Fatal("telemetry sink changed the rendered document")
-	}
-	if hb.Templates == 0 || hb.Replays == 0 || hb.ReplayedInsts == 0 {
-		t.Errorf("session telemetry missing replays: %+v", hb)
 	}
 }
 

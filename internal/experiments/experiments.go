@@ -15,12 +15,10 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 
 	"repro/internal/cmp"
 	"repro/internal/config"
 	"repro/internal/faults"
-	"repro/internal/hotblock"
 	"repro/internal/sched"
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -110,11 +108,6 @@ type runner struct {
 	// Poisoned Fg-STP cells bypass it: degraded runs are never
 	// memoisable.
 	cell CellFunc
-	// hb, when non-nil, aggregates the hot-block replay telemetry of
-	// every directly simulated clean cell (see SetHotBlock in cells.go);
-	// hbMu serialises the merges — cells run on the worker pool.
-	hb   *hotblock.Counters
-	hbMu sync.Mutex
 }
 
 func newRunner(insts uint64, jobs int) *runner {

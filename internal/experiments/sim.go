@@ -14,7 +14,6 @@ import (
 	"repro/internal/cmp"
 	"repro/internal/config"
 	"repro/internal/faults"
-	"repro/internal/hotblock"
 	"repro/internal/sched"
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -58,17 +57,15 @@ func SimJobs(m config.Machine, tr *trace.Trace, modes []cmp.Mode, inject string)
 	return jl, nil
 }
 
-// SimReport is one simulation report before rendering. Runs, Errs,
-// HotBlock and Ests are indexed like the modes it was run for: the full
-// run or its error, that run's hot-block telemetry and, when sampling
-// was requested (Ests is nil otherwise), the sampled estimate. The
-// remaining fields describe how the report used its worker pool; they
-// never enter a rendered document.
+// SimReport is one simulation report before rendering. Runs, Errs and
+// Ests are indexed like the modes it was run for: the full run or its
+// error and, when sampling was requested (Ests is nil otherwise), the
+// sampled estimate. The remaining fields describe how the report used
+// its worker pool; they never enter a rendered document.
 type SimReport struct {
-	Runs     []stats.Run
-	Errs     []error
-	Ests     []SimEstimate
-	HotBlock []hotblock.Counters
+	Runs []stats.Run
+	Errs []error
+	Ests []SimEstimate
 
 	// Tasks counts the pool's tasks (a full run per mode, plus an
 	// estimate per mode when sampling) and Workers its size. Busy sums
@@ -108,12 +105,8 @@ func RunSim(ctx context.Context, m config.Machine, tr *trace.Trace, modes []cmp.
 		return SimReport{}, err
 	}
 	rep := SimReport{
-		Runs:     make([]stats.Run, len(modes)),
-		Errs:     make([]error, len(modes)),
-		HotBlock: make([]hotblock.Counters, len(modes)),
-	}
-	for i := range jl {
-		jl[i].HotBlock = &rep.HotBlock[i]
+		Runs: make([]stats.Run, len(modes)),
+		Errs: make([]error, len(modes)),
 	}
 	var sp *sampler
 	if p.Interval > 0 {
@@ -201,17 +194,11 @@ func hostCostRank(md cmp.Mode) int {
 	}
 }
 
-// WriteSimJSON emits the runs as one fgstp.sim/1 JSON document; failed
-// modes carry an error string instead of a run.
-func WriteSimJSON(w io.Writer, machine string, tr *trace.Trace, modes []cmp.Mode, runs []stats.Run, errs []error) error {
-	return WriteSimJSONEst(w, machine, tr, modes, runs, errs, nil)
-}
-
-// WriteSimJSONEst is WriteSimJSON plus the sampled estimates block.
-// With no estimates the document is byte-identical to WriteSimJSON's
-// (the field is omitted entirely), which keeps non-sampled runs stable
-// across the schema's life.
-func WriteSimJSONEst(w io.Writer, machine string, tr *trace.Trace, modes []cmp.Mode, runs []stats.Run, errs []error, ests []SimEstimate) error {
+// writeSimJSON emits the runs as one fgstp.sim/1 JSON document; failed
+// modes carry an error string instead of a run. Sampled estimates go in
+// a trailing simpoint block; with none the field is omitted entirely,
+// which keeps non-sampled runs stable across the schema's life.
+func writeSimJSON(w io.Writer, machine string, tr *trace.Trace, modes []cmp.Mode, runs []stats.Run, errs []error, ests []SimEstimate) error {
 	type modeResult struct {
 		Mode  string     `json:"mode"`
 		Error string     `json:"error,omitempty"`
@@ -243,16 +230,10 @@ func WriteSimJSONEst(w io.Writer, machine string, tr *trace.Trace, modes []cmp.M
 	return err
 }
 
-// WriteSimCSV emits one summary record per mode plus one record per
-// metric, mirroring the bench tool's flat-record CSV shape.
-func WriteSimCSV(w io.Writer, modes []cmp.Mode, runs []stats.Run, errs []error) error {
-	return WriteSimCSVEst(w, modes, runs, errs, nil)
-}
-
-// WriteSimCSVEst is WriteSimCSV plus one trailing "simpoint" record per
-// sampled estimate; with no estimates the output is byte-identical to
-// WriteSimCSV's.
-func WriteSimCSVEst(w io.Writer, modes []cmp.Mode, runs []stats.Run, errs []error, ests []SimEstimate) error {
+// writeSimCSV emits one summary record per mode plus one record per
+// metric, mirroring the bench tool's flat-record CSV shape, then one
+// "simpoint" record per sampled estimate.
+func writeSimCSV(w io.Writer, modes []cmp.Mode, runs []stats.Run, errs []error, ests []SimEstimate) error {
 	cw := csv.NewWriter(w)
 	if err := cw.Write([]string{"schema", SimSchemaVersion}); err != nil {
 		return err
@@ -301,17 +282,11 @@ func WriteSimCSVEst(w io.Writer, modes []cmp.Mode, runs []stats.Run, errs []erro
 	return cw.Error()
 }
 
-// WriteSimText renders the human-readable report: one block per mode
-// (FAILED line for a failed mode) and, when several modes ran, the
-// speedup comparison against the first.
-func WriteSimText(w io.Writer, modes []cmp.Mode, runs []stats.Run, errs []error) error {
-	return WriteSimTextEst(w, modes, runs, errs, nil)
-}
-
-// WriteSimTextEst is WriteSimText plus a trailing sampled-estimates
-// block; with no estimates the output is byte-identical to
-// WriteSimText's.
-func WriteSimTextEst(w io.Writer, modes []cmp.Mode, runs []stats.Run, errs []error, ests []SimEstimate) error {
+// writeSimText renders the human-readable report: one block per mode
+// (FAILED line for a failed mode), when several modes ran the speedup
+// comparison against the first, and a trailing sampled-estimates block
+// when there are estimates.
+func writeSimText(w io.Writer, modes []cmp.Mode, runs []stats.Run, errs []error, ests []SimEstimate) error {
 	for i := range runs {
 		if errs[i] != nil {
 			if _, err := fmt.Fprintf(w, "[%s] FAILED: %v\n\n", modes[i], errs[i]); err != nil {
@@ -372,22 +347,17 @@ func WriteSimTextEst(w io.Writer, modes []cmp.Mode, runs []stats.Run, errs []err
 	return nil
 }
 
-// WriteSimFormat renders a simulation report in the named format
-// ("text", "json" or "csv") to w.
-func WriteSimFormat(w io.Writer, format, machine string, tr *trace.Trace, modes []cmp.Mode, runs []stats.Run, errs []error) error {
-	return WriteSimFormatEst(w, format, machine, tr, modes, runs, errs, nil)
-}
-
-// WriteSimFormatEst renders a simulation report with sampled estimates
-// attached; nil estimates reproduce WriteSimFormat byte for byte.
+// WriteSimFormatEst renders a simulation report in the named format
+// ("text", "json" or "csv") to w, with its sampled estimates, if any
+// (nil for a report without sampling).
 func WriteSimFormatEst(w io.Writer, format, machine string, tr *trace.Trace, modes []cmp.Mode, runs []stats.Run, errs []error, ests []SimEstimate) error {
 	switch format {
 	case "text":
-		return WriteSimTextEst(w, modes, runs, errs, ests)
+		return writeSimText(w, modes, runs, errs, ests)
 	case "json":
-		return WriteSimJSONEst(w, machine, tr, modes, runs, errs, ests)
+		return writeSimJSON(w, machine, tr, modes, runs, errs, ests)
 	case "csv":
-		return WriteSimCSVEst(w, modes, runs, errs, ests)
+		return writeSimCSV(w, modes, runs, errs, ests)
 	default:
 		return fmt.Errorf("unknown format %q (want text, json or csv)", format)
 	}

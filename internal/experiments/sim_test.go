@@ -65,7 +65,7 @@ func serialSimReport(t *testing.T, m config.Machine, tr *trace.Trace, modes []cm
 	if err != nil {
 		t.Fatal(err)
 	}
-	runs, errs := sched.RunJobsAll(1, jl)
+	runs, errs := sched.MapAll(1, jl, sched.Job.Run)
 	reps, err := simpoint.Choose(tr, simTestInterval, DefaultSimpointK)
 	if err != nil {
 		t.Fatal(err)

@@ -33,7 +33,6 @@ type UOp struct {
 	Item    FetchItem
 	Cluster int
 
-	fetchedAt     int64
 	dispatchReady int64
 	dispatched    bool
 	issued        bool
@@ -221,15 +220,6 @@ type Core struct {
 	// sink, when non-nil, receives issue/commit/squash pipeline events
 	// (see internal/metrics); nil costs one comparison per event site.
 	sink metrics.Sink
-
-	// Hot-block timing memoization (hotblock.go). hb is nil when
-	// disabled; hblog is non-nil only while a capture span is recording
-	// hierarchy/dep-predictor interactions; lastCommitAt is the cycle of
-	// the most recent committed instruction (the drain watchdog's
-	// progress anchor after a bulk replay).
-	hb           *hbCtl
-	hblog        *hbLog
-	lastCommitAt int64
 }
 
 // NewCore builds a core over its memory hierarchy and fetch stream.
@@ -412,11 +402,6 @@ func (c *Core) SetEventSink(sink metrics.Sink, coreID int) {
 		c.sink = nil
 		return
 	}
-	// Pipeline-event emission and hot-block replay are mutually
-	// exclusive: a replayed span emits no per-uop events, so traced runs
-	// fall back to the plain engine.
-	c.hb = nil
-	c.hblog = nil
 	c.sink = metrics.CoreSink{Sink: sink, Core: coreID}
 }
 
@@ -506,9 +491,6 @@ func (c *Core) fetch(now int64) {
 			line := c.hier.L1I.LineAddr(item.DI.PC)
 			if line != c.lastFetchLine {
 				lat := c.hier.Fetch(item.DI.PC)
-				if c.hblog != nil {
-					c.hblog.recMem(hbMemFetch, item.GSeq, lat)
-				}
 				c.lastFetchLine = line
 				if hit := c.hier.L1I.Config().LatencyCycles; lat > hit {
 					c.fetchStallUntil = now + int64(lat-hit)
@@ -519,7 +501,6 @@ func (c *Core) fetch(now int64) {
 		c.stream.Advance()
 		u := c.allocUOp()
 		u.Item = item
-		u.fetchedAt = now
 		u.dispatchReady = now + int64(c.cfg.FrontendDepth)
 		u.completeAt = notReady
 		u.extWaitAt = -2 // no external poll yet
@@ -1131,11 +1112,7 @@ func (c *Core) loadReady(u *UOp, now int64) (bool, int) {
 			// One predictor query per unissued older store, exactly as
 			// the full-queue scan made (the count drives the predictor's
 			// periodic clear).
-			wait := c.dep.MustWaitN(u.DI().PC, unissuedOlder)
-			if c.hblog != nil && c.dep.table != nil {
-				c.hblog.recDep(u.Item.GSeq, unissuedOlder, wait)
-			}
-			if wait {
+			if c.dep.MustWaitN(u.DI().PC, unissuedOlder) {
 				return false, 0
 			}
 			speculative = true
@@ -1169,9 +1146,6 @@ func (c *Core) loadReady(u *UOp, now int64) (bool, int) {
 		return true, 1
 	}
 	lat := c.hier.Load(u.DI().Addr)
-	if c.hblog != nil {
-		c.hblog.recMem(hbMemLoad, u.Item.GSeq, lat)
-	}
 	if c.hooks != nil {
 		lat += c.hooks.LoadExtraLatency(u)
 	}
@@ -1228,12 +1202,8 @@ func (c *Core) commit(now int64) {
 		}
 		d := u.DI()
 		if d.IsStore() {
-			lat := c.hier.Store(d.Addr)
-			if c.hblog != nil {
-				c.hblog.recMem(hbMemStore, u.Item.GSeq, lat)
-			}
+			c.hier.Store(d.Addr)
 		}
-		c.lastCommitAt = now
 		c.rob.popFront()
 		c.wdelete(u)
 		if d.IsLoad() {
@@ -1363,11 +1333,6 @@ func (c *Core) SquashFrom(gseq uint64, now int64) {
 
 	if c.branchActive && c.branchGSeq >= gseq {
 		c.branchActive = false
-	}
-	if c.hb != nil {
-		// Before the rewind: the invalidation walk needs the pre-squash
-		// fetch frontier to bound the affected block-start range.
-		c.hbOnSquash(gseq)
 	}
 	c.stream.Rewind(gseq)
 	// Redirect: fetch restarts next cycle; the refill cost comes from

@@ -108,9 +108,7 @@ func NewCoreAt(cfg Config, hier *mem.Hierarchy, stream Stream, hooks Hooks, warm
 // which the first warmInsts instructions had all committed — the
 // boundary between a sampled slice's warmup region and its measured
 // region. It returns the total cycle count and that boundary cycle
-// (equal to total when warmInsts covers the whole stream). Hot-block
-// replay is never active here: sampled slices run on freshly
-// constructed cores that do not enable it.
+// (equal to total when warmInsts covers the whole stream).
 func DrainMeasured(core *Core, traceLen int, warmInsts uint64) (total, warmEnd int64, err error) {
 	limit := int64(traceLen+1000) * maxCyclesPerInst
 	var now, lastProgress int64

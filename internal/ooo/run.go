@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/hotblock"
 	"repro/internal/mem"
 	"repro/internal/metrics"
 	"repro/internal/stats"
@@ -57,21 +56,11 @@ func (e *LivelockError) Error() string {
 func (e *LivelockError) Unwrap() error { return ErrLivelock }
 
 // RunOptions bundles the optional knobs of a single-core run. The zero
-// value means no event sink and hot-block memoization on unless the
-// process-wide default disables it.
+// value means no event sink.
 type RunOptions struct {
-	// Sink receives pipeline events; attaching one disables hot-block
-	// replay (replayed spans emit no per-uop events). The events render
-	// into a Chrome trace via metrics.WriteChromeTrace.
+	// Sink receives pipeline events; they render into a Chrome trace via
+	// metrics.WriteChromeTrace.
 	Sink metrics.Sink
-	// DisableHotBlock forces the plain engine for this run regardless of
-	// the process default (hotblock.SetDefaultDisabled).
-	DisableHotBlock bool
-	// HotBlockConfig overrides the memoization knobs; nil means
-	// defaults.
-	HotBlockConfig *hotblock.Config
-	// HotBlock, when non-nil, receives the run's replay telemetry.
-	HotBlock *hotblock.Counters
 }
 
 // RunTraceWith simulates tr to completion on a single core built from
@@ -88,27 +77,11 @@ func RunTraceWith(cfg Config, hcfg mem.HierarchyConfig, tr *trace.Trace, opts Ru
 		return stats.Run{}, err
 	}
 	core.SetEventSink(opts.Sink, 0)
-	ApplyHotBlockOptions(core, opts)
 	now, err := Drain(core, tr.Len())
 	if err != nil {
 		return stats.Run{}, err
 	}
 	return Summarize(core, tr, "single", now), nil
-}
-
-// ApplyHotBlockOptions enables hot-block memoization on core per opts
-// and the process-wide default (hotblock.SetDefaultDisabled). Shared by
-// the single-core and fused-core run paths; the Fg-STP pair's hooked
-// cores are never offered the engine.
-func ApplyHotBlockOptions(core *Core, opts RunOptions) {
-	if opts.DisableHotBlock || hotblock.DefaultDisabled() || opts.Sink != nil {
-		return
-	}
-	var hcfg hotblock.Config
-	if opts.HotBlockConfig != nil {
-		hcfg = *opts.HotBlockConfig
-	}
-	core.EnableHotBlock(hcfg, opts.HotBlock)
 }
 
 // Drain cycles the core until it is done and returns the final cycle
@@ -144,21 +117,6 @@ func drain(core *Core, traceLen int, skip bool) (int64, error) {
 				Committed:   lastCommitted,
 				TraceLen:    traceLen,
 				InFlight:    core.InFlight(),
-			}
-		}
-		if skip && core.hb != nil {
-			// Hot-block detector: profile the fetch frontier and, when an
-			// armed template's preconditions hold, replay the whole span
-			// in bulk. The watchdog bookkeeping mirrors what a ticked run
-			// of the span would leave: the span's last commit at cycle L
-			// makes the ticked top L+1 set lastProgress = L+1, and the
-			// replay's refusal conditions guarantee no intermediate
-			// ticked top could have tripped either bound.
-			if end, ok := core.hotblockTop(now, lastProgress, limit); ok {
-				now = end
-				lastCommitted = core.Committed()
-				lastProgress = core.lastCommitAt + 1
-				continue
 			}
 		}
 		if skip {

@@ -100,13 +100,13 @@ func TestMapCtxBackgroundMatchesMap(t *testing.T) {
 	}
 }
 
-// TestRunJobsAllCtxCancelled drives the job-level wrapper: a cancelled
+// TestRunJobsAllCtxCancelled drives a Job.Run fan-out: a cancelled
 // context yields ctx errors for every job, not panics or hangs.
 func TestRunJobsAllCtxCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	jobs := make([]Job, 3) // zero jobs would fail anyway; they must not start
-	runs, errs := RunJobsAllCtx(ctx, 2, jobs)
+	runs, errs := MapAllCtx(ctx, 2, jobs, Job.Run)
 	if len(runs) != 3 {
 		t.Fatalf("len(runs) = %d", len(runs))
 	}

@@ -18,11 +18,11 @@
 //     structured *PanicError instead of killing the process, and its
 //     sibling jobs complete normally.
 //
-// Job is the concrete simulation unit; Map is the generic fan-out
-// primitive the experiment harness builds its job lists on; Cache is
-// the single-flight memoisation used to capture each workload trace and
-// single-core baseline exactly once per session, no matter how many
-// concurrent jobs ask for it.
+// Job is the concrete simulation unit; Map and MapAll are the generic
+// fan-out primitives the experiment harness builds its job lists on;
+// Cache is the single-flight memoisation behind a session's workload
+// traces and simulation cells, so each is computed once per session no
+// matter how many concurrent jobs ask for it.
 package sched
 
 import (
@@ -53,9 +53,8 @@ type Job struct {
 	// Faults optionally injects deterministic faults into the run
 	// (testing and fault drills); nil simulates normally.
 	Faults cmp.Faults
-	// HotBlock, when non-nil, receives the job's replay telemetry. Give
-	// each concurrent job its own Counters and Merge them afterwards —
-	// the engine updates them without synchronisation.
+	// Deprecated: HotBlock is read by nothing. It stays only because
+	// bench/'s traced run still sets it (ROADMAP item 2).
 	HotBlock *hotblock.Counters
 }
 
@@ -78,7 +77,7 @@ func (j *Job) tag() string {
 // tagged *PanicError.
 func (j Job) Run() (stats.Run, error) {
 	r, err := protect(j.tag(), func(j Job) (stats.Run, error) {
-		return cmp.RunOpts(j.Machine, j.Mode, j.Trace, cmp.Options{Faults: j.Faults, HotBlock: j.HotBlock})
+		return cmp.RunOpts(j.Machine, j.Mode, j.Trace, cmp.Options{Faults: j.Faults})
 	}, j)
 	if err != nil {
 		if pe := (*PanicError)(nil); errors.As(err, &pe) {
@@ -167,6 +166,9 @@ func MapCtx[T, R any](ctx context.Context, workers int, items []T, fn func(T) (R
 				if err != nil {
 					errs[i] = err
 					failed.Store(true)
+					if testHookFailed != nil {
+						testHookFailed()
+					}
 					return
 				}
 				out[i] = r
@@ -181,6 +183,10 @@ func MapCtx[T, R any](ctx context.Context, workers int, items []T, fn func(T) (R
 	}
 	return out, nil
 }
+
+// testHookFailed, when set by a test, runs right after a parallel
+// MapCtx worker has recorded an item failure.
+var testHookFailed func()
 
 // itemTag labels an anonymous Map item in contained-panic errors.
 func itemTag(i int) string { return fmt.Sprintf("item %d", i) }
@@ -246,30 +252,4 @@ func MapAllCtx[T, R any](ctx context.Context, workers int, items []T, fn func(T)
 	}
 	wg.Wait()
 	return out, errs
-}
-
-// RunJobs fans the job list out over workers (<= 0 picks GOMAXPROCS)
-// and returns the run summaries in submission order.
-func RunJobs(workers int, jobs []Job) ([]stats.Run, error) {
-	return Map(workers, jobs, Job.Run)
-}
-
-// RunJobsCtx is RunJobs with cancellation between jobs (see MapCtx).
-func RunJobsCtx(ctx context.Context, workers int, jobs []Job) ([]stats.Run, error) {
-	return MapCtx(ctx, workers, jobs, Job.Run)
-}
-
-// RunJobsAll fans the job list out like RunJobs but collects every
-// failure instead of cancelling on the first: errs[i] is non-nil
-// exactly when jobs[i] failed, and the other jobs' summaries are still
-// returned.
-func RunJobsAll(workers int, jobs []Job) ([]stats.Run, []error) {
-	return MapAll(workers, jobs, Job.Run)
-}
-
-// RunJobsAllCtx is RunJobsAll with cancellation between jobs (see
-// MapAllCtx): jobs not yet started when ctx is done report ctx's error
-// at their index.
-func RunJobsAllCtx(ctx context.Context, workers int, jobs []Job) ([]stats.Run, []error) {
-	return MapAllCtx(ctx, workers, jobs, Job.Run)
 }

@@ -55,17 +55,27 @@ func TestMapEmpty(t *testing.T) {
 }
 
 // TestMapError checks that a failing item surfaces its error and that
-// cancellation keeps not-yet-started items from running.
+// cancellation keeps not-yet-started items from running. Items after
+// the failing one wait until the failure is recorded, so the workers
+// cannot drain the list first: besides items 0..5, at most one item
+// per other worker (claimed before the failure, held at the gate) may
+// run.
 func TestMapError(t *testing.T) {
+	const workers, failAt = 4, 5
 	boom := errors.New("boom")
 	items := make([]int, 1000)
 	for i := range items {
 		items[i] = i
 	}
+	recorded := make(chan struct{})
+	defer sched.SetFailedHook(func() { close(recorded) })()
 	var ran atomic.Int64
-	_, err := sched.Map(4, items, func(v int) (int, error) {
+	_, err := sched.Map(workers, items, func(v int) (int, error) {
+		if v > failAt {
+			<-recorded
+		}
 		ran.Add(1)
-		if v == 5 {
+		if v == failAt {
 			return 0, fmt.Errorf("item %d: %w", v, boom)
 		}
 		return v, nil
@@ -73,8 +83,8 @@ func TestMapError(t *testing.T) {
 	if !errors.Is(err, boom) {
 		t.Fatalf("Map error = %v, want wrapped boom", err)
 	}
-	if n := ran.Load(); n == int64(len(items)) {
-		t.Errorf("all %d items ran despite early failure", n)
+	if n, limit := ran.Load(), int64(failAt+workers); n > limit {
+		t.Errorf("%d of %d items ran despite the failure at item %d, want at most %d", n, len(items), failAt, limit)
 	}
 }
 
@@ -118,7 +128,7 @@ func TestConcurrentModesDeterministic(t *testing.T) {
 			})
 		}
 	}
-	runs, err := sched.RunJobs(len(jobs), jobs)
+	runs, err := sched.Map(len(jobs), jobs, sched.Job.Run)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +149,8 @@ func TestConcurrentModesDeterministic(t *testing.T) {
 	}
 }
 
-// TestRunJobsOrder checks RunJobs labels results in submission order.
+// TestRunJobsOrder checks a Job.Run fan-out labels results in
+// submission order.
 func TestRunJobsOrder(t *testing.T) {
 	w, ok := workloads.ByName("astar")
 	if !ok {
@@ -151,7 +162,7 @@ func TestRunJobsOrder(t *testing.T) {
 	for _, mode := range cmp.Modes() {
 		jobs = append(jobs, sched.Job{Machine: m, Mode: mode, Trace: tr})
 	}
-	runs, err := sched.RunJobs(0, jobs)
+	runs, err := sched.Map(0, jobs, sched.Job.Run)
 	if err != nil {
 		t.Fatal(err)
 	}

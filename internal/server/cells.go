@@ -10,7 +10,6 @@ import (
 	"repro/internal/cmp"
 	"repro/internal/config"
 	"repro/internal/experiments"
-	"repro/internal/hotblock"
 	"repro/internal/resultcache"
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -84,17 +83,6 @@ func cellKey(m config.Machine, mode cmp.Mode, workload, traceSum string) (string
 		"cell", string(mode), workload), nil
 }
 
-// runCell simulates one cell directly on the engine, folding its
-// hot-block replay telemetry into the daemon aggregate (/metricz).
-// Every engine call of the cell runner funnels through here; cache hits
-// replay nothing and contribute nothing.
-func (s *Server) runCell(m config.Machine, mode cmp.Mode, tr *trace.Trace) (stats.Run, error) {
-	var hb hotblock.Counters
-	run, err := cmp.RunOpts(m, mode, tr, cmp.Options{HotBlock: &hb})
-	s.mergeHotBlock(hb)
-	return run, err
-}
-
 // cellRunner builds the CellFunc the engine executor installs on a
 // session: every clean cell is served from the result cache when
 // possible, computed and persisted otherwise. st (nil-safe) receives
@@ -134,18 +122,18 @@ func (s *Server) cellRunner(st *cellStats) experiments.CellFunc {
 		s.nCellRuns.Add(1)
 		sum, err := sumOf(w, tr)
 		if err != nil {
-			return s.runCell(m, mode, tr) // unkeyable, run uncached
+			return cmp.Run(m, mode, tr) // unkeyable, run uncached
 		}
 		key, err := cellKey(m, mode, w.Name, sum)
 		if err != nil {
-			return s.runCell(m, mode, tr)
+			return cmp.Run(m, mode, tr)
 		}
 		// computed captures the fresh run when its JSON encoding cannot
 		// be persisted (NaN/Inf counters): the simulation still succeeded
 		// and its result must be served, just not memoised.
 		var computed *stats.Run
 		env, hit, err := s.cache.GetOrComputeIf(key, func() ([]byte, bool, error) {
-			run, err := s.runCell(m, mode, tr)
+			run, err := cmp.Run(m, mode, tr)
 			if err != nil {
 				return nil, false, err
 			}
@@ -173,7 +161,7 @@ func (s *Server) cellRunner(st *cellStats) experiments.CellFunc {
 				st.misses.Add(1)
 			}
 			s.nCellMisses.Add(1)
-			return s.runCell(m, mode, tr)
+			return cmp.Run(m, mode, tr)
 		}
 		var run stats.Run
 		if err := json.Unmarshal(env, &run); err != nil {
@@ -183,7 +171,7 @@ func (s *Server) cellRunner(st *cellStats) experiments.CellFunc {
 				st.misses.Add(1)
 			}
 			s.nCellMisses.Add(1)
-			return s.runCell(m, mode, tr)
+			return cmp.Run(m, mode, tr)
 		}
 		if st != nil {
 			if hit {

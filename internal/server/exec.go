@@ -11,7 +11,6 @@ import (
 	"repro/internal/cmp"
 	"repro/internal/config"
 	"repro/internal/experiments"
-	"repro/internal/hotblock"
 	"repro/internal/resultcache"
 	"repro/internal/trace"
 	"repro/internal/workloads"
@@ -280,7 +279,7 @@ type Executor interface {
 
 // engineExecutor runs jobs on the real simulation engine through the
 // exact rendering paths of the CLIs — experiments.WriteFormat for
-// bench, experiments.WriteSimFormat for sim — which is what makes
+// bench, experiments.WriteSimFormatEst for sim — which is what makes
 // server responses byte-identical to fgstpbench/fgstpsim stdout. srv
 // (nil in tests that substitute executors elsewhere) supplies the cell
 // cache.
@@ -294,15 +293,6 @@ func (e engineExecutor) Bench(ctx context.Context, req *BenchRequest) ([]byte, i
 	session := experiments.NewSession(req.Insts, req.Jobs)
 	if req.Inject != "" {
 		session.Poison(req.Inject)
-	}
-	// Collect the hot-block telemetry of every cell this request
-	// simulates directly (no cell runner installed, or the runner's own
-	// engine calls feed the aggregate through Server.runCell) and fold it
-	// into the daemon aggregate for /metricz.
-	var hb hotblock.Counters
-	if e.srv != nil {
-		session.SetHotBlock(&hb)
-		defer func() { e.srv.mergeHotBlock(hb) }()
 	}
 	// Compose the document from memoised cells: with the store open and
 	// no chaos drill armed, every clean simulation cell of this request
@@ -339,15 +329,6 @@ func (e engineExecutor) Bench(ctx context.Context, req *BenchRequest) ([]byte, i
 func (e engineExecutor) Sim(ctx context.Context, req *SimRequest) ([]byte, int, error) {
 	rep, err := experiments.RunSim(ctx, req.m, req.tr, req.modes, req.Inject,
 		experiments.SimpointParams{Interval: req.SimpointInterval, Warmup: -1}, req.Jobs)
-	// Per-mode telemetry counters, merged into the daemon aggregate (the
-	// fgstpsim coverage footer reads the same counters).
-	if e.srv != nil {
-		var hb hotblock.Counters
-		for i := range rep.HotBlock {
-			hb.Merge(rep.HotBlock[i])
-		}
-		e.srv.mergeHotBlock(hb)
-	}
 	// A deadline or cancellation during the report (504) leaves it
 	// incomplete or late: nothing is rendered, so nothing is cached.
 	if err != nil {

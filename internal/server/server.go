@@ -38,7 +38,6 @@ import (
 	"time"
 
 	"repro/internal/cmp"
-	"repro/internal/hotblock"
 	"repro/internal/metrics"
 	"repro/internal/resultcache"
 	"repro/internal/sched"
@@ -143,22 +142,6 @@ type Server struct {
 	nCellRuns      atomic.Int64
 	nCellHits      atomic.Int64
 	nCellMisses    atomic.Int64
-
-	// hb aggregates the hot-block replay telemetry of every simulation
-	// the daemon actually ran (cache hits replay nothing), split by
-	// template kind and abort/decline reason; /metricz renders it beside
-	// the fgstpd_* counters. A struct of plain ints behind a mutex, not
-	// atomics: merges happen once per run, not per event.
-	hbMu sync.Mutex
-	hb   hotblock.Counters
-}
-
-// mergeHotBlock folds one run's (or one request's) hot-block telemetry
-// into the daemon aggregate.
-func (s *Server) mergeHotBlock(c hotblock.Counters) {
-	s.hbMu.Lock()
-	s.hb.Merge(c)
-	s.hbMu.Unlock()
 }
 
 // New builds a server, opens the cache (if configured) and starts the
@@ -595,14 +578,6 @@ func (s *Server) handleMetricz(w http.ResponseWriter, r *http.Request) {
 	reg.Set("fgstpd_queue_depth", float64(total))
 	reg.Set("fgstpd_queue_tenants", float64(tenants))
 	reg.Set("fgstpd_queue_depth_peak", float64(s.q.peakDepth()))
-	// Hot-block engine telemetry (hotblock_* names), aggregated across
-	// every simulation the daemon ran directly: template captures split
-	// by kind (pair vs periodic-miss), replays, replayed work, and the
-	// full abort/decline/invalidation breakdown.
-	s.hbMu.Lock()
-	hb := s.hb
-	s.hbMu.Unlock()
-	hb.AddTo(reg)
 	if s.cache != nil {
 		st := s.cache.Stats()
 		reg.Set("fgstpd_store_hits", float64(st.Hits))

@@ -124,9 +124,9 @@ func simCLI(t *testing.T, workload, machine string, insts uint64, format string)
 	if err != nil {
 		t.Fatal(err)
 	}
-	runs, errs := sched.RunJobsAll(0, jl)
+	runs, errs := sched.MapAll(0, jl, sched.Job.Run)
 	var buf bytes.Buffer
-	if err := experiments.WriteSimFormat(&buf, format, m.Name, tr, cmp.Modes(), runs, errs); err != nil {
+	if err := experiments.WriteSimFormatEst(&buf, format, m.Name, tr, cmp.Modes(), runs, errs, nil); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -611,64 +611,6 @@ func TestLifecycle(t *testing.T) {
 	}
 }
 
-// metricValue extracts one "name value" sample from a /metricz body.
-func metricValue(t *testing.T, body, name string) float64 {
-	t.Helper()
-	for _, line := range strings.Split(body, "\n") {
-		var n string
-		var v float64
-		if _, err := fmt.Sscanf(line, "%s %g", &n, &v); err == nil && n == name {
-			return v
-		}
-	}
-	t.Fatalf("metricz missing %q:\n%s", name, body)
-	return 0
-}
-
-// hotblockLines extracts the hotblock_* samples of a /metricz body for
-// whole-section comparison.
-func hotblockLines(body string) string {
-	var out []string
-	for _, line := range strings.Split(body, "\n") {
-		if strings.HasPrefix(line, "hotblock_") {
-			out = append(out, line)
-		}
-	}
-	return strings.Join(out, "\n")
-}
-
-// TestMetriczHotBlock: an engine-backed sim request folds its hot-block
-// replay telemetry into the daemon aggregate — nonzero template and
-// replay counters for a single-core mcf run, whose pointer chase arms a
-// periodic-miss template — and a cached repeat, which simulates
-// nothing, leaves the aggregate untouched.
-func TestMetriczHotBlock(t *testing.T) {
-	s := newTestServer(t, Config{Workers: 2, CacheDir: t.TempDir()})
-	req := SimRequest{Workload: "mcf", Machine: "medium", Insts: 20_000, Mode: "single", Format: "json"}
-	if w := post(t, s, "/v1/sim", "t", req); w.Code != http.StatusOK {
-		t.Fatalf("sim = %d\n%s", w.Code, w.Body.String())
-	}
-	body := get(t, s, "/metricz").Body.String()
-	for _, name := range []string{
-		"hotblock_templates",
-		"hotblock_templates_periodic",
-		"hotblock_replays",
-		"hotblock_replayed_insts",
-	} {
-		if metricValue(t, body, name) == 0 {
-			t.Errorf("metricz %s = 0 after a single-core run that should replay:\n%s", name, hotblockLines(body))
-		}
-	}
-	w := post(t, s, "/v1/sim", "t", req)
-	if c := w.Header().Get(HeaderCache); c != "hit" {
-		t.Fatalf("repeat cache state = %q, want hit", c)
-	}
-	after := get(t, s, "/metricz").Body.String()
-	if a, b := hotblockLines(body), hotblockLines(after); a != b {
-		t.Errorf("cached repeat moved the hot-block aggregate\n before: %s\n after:  %s", a, b)
-	}
-}
-
 // TestMetricz: counters reflect traffic and render deterministically.
 func TestMetricz(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 1, CacheDir: t.TempDir(), Exec: instantExec{}})
@@ -687,5 +629,8 @@ func TestMetricz(t *testing.T) {
 		if !strings.Contains(body, want) {
 			t.Errorf("metricz missing %q:\n%s", want, body)
 		}
+	}
+	if strings.Contains(body, "hotblock_") {
+		t.Errorf("metricz still prints hot-block telemetry:\n%s", body)
 	}
 }

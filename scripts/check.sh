@@ -9,22 +9,18 @@
 #   bench smoke     one iteration of the E2 benchmark, proving the
 #                   experiment harness end-to-end
 #   fuzz smoke      5s of the trace-loader fuzzer: corrupt bytes must
-#                   error, never panic; plus 5s of the hot-block replay
-#                   fuzzer: memoized drains must match the ticked engine
-#                   on arbitrary trace shapes
+#                   error, never panic
 #   degraded smoke  fgstpbench with an injected livelock must finish
 #                   the experiment, exit 1, and print byte-identical
 #                   reports for -jobs 1 and -jobs 4
 #   json smoke      fgstpbench -format json must emit a valid export
 #                   (scripts/jsoncheck) byte-identical across -jobs,
-#                   and fgstpsim -tracejson a valid Chrome trace
-#   hotblock smoke  fgstpbench -experiment all output must be
-#                   byte-identical with hot-block memoization on and
-#                   off, at -jobs 1 and 4 (replay is a pure speedup,
-#                   never a result change); plus single-core coverage
-#                   floors: a loop-heavy workload must replay templates
-#                   and a streaming workload must arm periodic-miss
-#                   templates (nonzero counters in the fgstpsim footer)
+#                   and fgstpsim -tracejson a valid Chrome trace; the
+#                   deprecated -hotblock=0 flag (still passed by
+#                   bench/'s golden command) must be accepted and
+#                   change nothing
+#   all-exp smoke   fgstpbench -experiment all output must be
+#                   byte-identical at -jobs 1 and 4
 #   sampled smoke   scripts/simpointcheck on a fixed workload set: the
 #                   checkpointed SimPoint estimate's 95% confidence
 #                   interval must contain the full-run IPC in every
@@ -58,9 +54,6 @@ go test -run='^$' -bench=E2 -benchtime=1x .
 echo "== fuzz smoke (trace loader, 5s)"
 go test -run='^$' -fuzz=FuzzTraceLoad -fuzztime=5s ./internal/trace
 
-echo "== fuzz smoke (hot-block replay, 5s)"
-go test -run='^$' -fuzz=FuzzHotBlockReplay -fuzztime=5s ./internal/ooo
-
 echo "== degraded-run smoke (injected livelock, exit 1, jobs-determinism)"
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
@@ -85,6 +78,11 @@ echo "== json-export smoke (valid export, jobs-determinism, pipeline trace)"
     >"$tmp/export4.json" 2>/dev/null
 cmp "$tmp/export1.json" "$tmp/export4.json" || {
     echo "JSON export differs between -jobs 1 and -jobs 4"; exit 1; }
+"$tmp/fgstpbench" -experiment E2 -insts 3000 -format json -hotblock=0 -jobs 1 \
+    >"$tmp/exportnohb.json" 2>/dev/null || {
+    echo "fgstpbench rejected the deprecated -hotblock=0 flag"; exit 1; }
+cmp "$tmp/export1.json" "$tmp/exportnohb.json" || {
+    echo "JSON export differs with the ignored -hotblock=0 flag"; exit 1; }
 go run ./scripts/jsoncheck <"$tmp/export1.json"
 go build -o "$tmp/fgstpsim" ./cmd/fgstpsim
 "$tmp/fgstpsim" -workload mcf -insts 3000 -mode fgstp -format json \
@@ -92,39 +90,13 @@ go build -o "$tmp/fgstpsim" ./cmd/fgstpsim
 grep -q '"traceEvents"' "$tmp/pipe.json" || {
     echo "pipeline trace missing traceEvents"; exit 1; }
 
-echo "== hot-block byte-identity smoke (all experiments, -hotblock=0 vs on, jobs 1 vs 4)"
-# -experiment all covers the single and corefusion cells, whose per-core
-# templates arm and replay at this budget; the fgstp cells never replay
-# and must read the same either way.
+echo "== all-experiments smoke (-experiment all, jobs 1 vs 4)"
 "$tmp/fgstpbench" -experiment all -insts 3000 -format json -jobs 1 \
-    >"$tmp/allhb1.json" 2>/dev/null
+    >"$tmp/all1.json" 2>/dev/null
 "$tmp/fgstpbench" -experiment all -insts 3000 -format json -jobs 4 \
-    >"$tmp/allhb4.json" 2>/dev/null
-cmp "$tmp/allhb1.json" "$tmp/allhb4.json" || {
+    >"$tmp/all4.json" 2>/dev/null
+cmp "$tmp/all1.json" "$tmp/all4.json" || {
     echo "-experiment all export differs between -jobs 1 and -jobs 4"; exit 1; }
-"$tmp/fgstpbench" -experiment all -insts 3000 -format json -hotblock=0 -jobs 1 \
-    >"$tmp/allnohb1.json" 2>/dev/null
-"$tmp/fgstpbench" -experiment all -insts 3000 -format json -hotblock=0 -jobs 4 \
-    >"$tmp/allnohb4.json" 2>/dev/null
-cmp "$tmp/allnohb1.json" "$tmp/allnohb4.json" || {
-    echo "-hotblock=0 -experiment all export differs between -jobs 1 and -jobs 4"; exit 1; }
-cmp "$tmp/allhb1.json" "$tmp/allnohb1.json" || {
-    echo "-experiment all export differs between -hotblock on and off"; exit 1; }
-
-echo "== hot-block coverage smoke (single-core replay, streaming periodic-miss)"
-# A loop-heavy workload must replay templates on the single core, and a
-# streaming workload (mcf's pointer chase misses the L1 on every
-# iteration) must arm periodic-miss templates.
-"$tmp/fgstpsim" -workload hmmer -insts 20000 -machine medium -mode single \
-    -format json >/dev/null 2>"$tmp/hb_hmmer.log"
-replays="$(awk '$2 == "hotblock_replays" {print int($3)}' "$tmp/hb_hmmer.log")"
-[ -n "$replays" ] && [ "$replays" -gt 0 ] || {
-    echo "single mode replayed no templates on hmmer"; cat "$tmp/hb_hmmer.log"; exit 1; }
-"$tmp/fgstpsim" -workload mcf -insts 20000 -machine medium -mode single \
-    -format json >/dev/null 2>"$tmp/hb_mcf.log"
-periodic="$(awk '$2 == "hotblock_templates_periodic" {print int($3)}' "$tmp/hb_mcf.log")"
-[ -n "$periodic" ] && [ "$periodic" -gt 0 ] || {
-    echo "streaming workload mcf armed no periodic-miss templates"; cat "$tmp/hb_mcf.log"; exit 1; }
 
 echo "== sampled-accuracy smoke (estimate CI covers full-run IPC, jobs-determinism)"
 go run ./scripts/simpointcheck
