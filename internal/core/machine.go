@@ -1,8 +1,6 @@
 package core
 
 import (
-	"math"
-
 	"repro/internal/config"
 	"repro/internal/gseqtab"
 	"repro/internal/isa"
@@ -11,9 +9,6 @@ import (
 	"repro/internal/ooo"
 	"repro/internal/trace"
 )
-
-// farFuture is the "operand not available" sentinel for ExtReadyAt.
-const farFuture = int64(math.MaxInt64 / 4)
 
 // issuedBit flags a storeTracker entry as issued, in the entry itself:
 // gseqs are trace indexes and never approach 2^63, so the top bit is
@@ -130,6 +125,15 @@ type Machine struct {
 	deliver    [2]*gseqtab.Table[int64]
 	pruneMark  uint64
 
+	// sleepers flags, per producer gseq (slot g&sleepMask), the cores
+	// holding a consumer asleep until that producer issues (bit d: core
+	// d). Sleeping producers are unissued, hence within the lookahead
+	// window, so a ring twice the window never aliases two of them; a
+	// flag left by a squashed consumer merely costs a WakeExt that
+	// finds nobody.
+	sleepers  []uint8
+	sleepMask uint64
+
 	pendingStores [2]*storeTracker
 
 	hasSquash     bool
@@ -188,6 +192,12 @@ func NewMachine(cfg config.Machine, tr *trace.Trace) (*Machine, error) {
 	m.deliver[1] = gseqtab.New[int64](span)
 	m.pendingStores[0] = newStoreTracker()
 	m.pendingStores[1] = newStoreTracker()
+	ring := 1
+	for ring < 2*cfg.FgSTP.Window {
+		ring <<= 1
+	}
+	m.sleepers = make([]uint8, ring)
+	m.sleepMask = uint64(ring - 1)
 
 	f := cfg.FgSTP
 	depBits := f.DepPredBits
@@ -292,8 +302,15 @@ func (m *Machine) Cycle(now int64) {
 		m.applySquash(now)
 	}
 	if m.nextCommit >= m.pruneMark+prunePeriod {
-		m.prune()
+		m.prune(now)
 	}
+}
+
+// activity sums the machine's progress counters: sequencer deliveries,
+// global squashes and both cores' pipeline work (ooo.Core.Activity).
+func (m *Machine) activity() uint64 {
+	return m.seq.Delivered + m.GlobalSquashes +
+		m.cores[0].Activity() + m.cores[1].Activity()
 }
 
 // prunePeriod is how many committed instructions elapse between prune
@@ -348,8 +365,9 @@ func (m *Machine) applySquash(now int64) {
 
 // prune drops communication bookkeeping for producers so old that no
 // in-flight consumer can still reference them (consumers of producer p
-// are steered within the lookahead window of p's commit).
-func (m *Machine) prune() {
+// are steered within the lookahead window of p's commit), at the end of
+// cycle now.
+func (m *Machine) prune(now int64) {
 	m.pruneMark = m.nextCommit
 	// Commit counts below nextCommit are dead (the advance loop only
 	// reads at or above it); sweeping them keeps their table slots free
@@ -362,6 +380,11 @@ func (m *Machine) prune() {
 	m.completeAt.DeleteBelow(cut)
 	m.deliver[0].DeleteBelow(cut)
 	m.deliver[1].DeleteBelow(cut)
+	// A consumer still asleep on a delivery deleted here would, polled,
+	// miss the memo and be granted a fresh transfer: wake it for the
+	// next cycle's poll, as the answer it sleeps on no longer holds.
+	m.cores[0].WakeExt(0, cut, now+1)
+	m.cores[1].WakeExt(0, cut, now+1)
 }
 
 // coreHooks couples one core to the machine.
@@ -372,14 +395,17 @@ type coreHooks struct {
 
 // ExtReadyAt implements ooo.Hooks: the operand arrives through the
 // inter-core channel once its producer completes; the grant is computed
-// lazily and memoised.
+// lazily and memoised. Every answer after now binds the consumer until
+// then: a delivery cycle stays put until prune forgets it (and wakes
+// the consumer), and a producer that has not issued answers
+// ooo.NoEvent, recorded in sleepers until OnIssue wakes the consumer.
 func (h *coreHooks) ExtReadyAt(u *ooo.UOp, srcIdx int, now int64) int64 {
 	m := h.m
 	if m.faults != nil && m.faults.ChannelStalled(h.id, now) {
 		// Injected fault: the channel refuses the grant this cycle. Do
-		// not memoise — the consumer re-polls and recovers if the stall
-		// is transient.
-		return farFuture
+		// not memoise — the consumer re-polls next cycle and recovers if
+		// the stall is transient.
+		return now + 1
 	}
 	p := u.Item.Deps[srcIdx].Producer
 	if t, ok := m.deliver[h.id].Get(p); ok {
@@ -396,7 +422,8 @@ func (h *coreHooks) ExtReadyAt(u *ooo.UOp, srcIdx int, now int64) int64 {
 			m.emitTransfer(now, t, h.id, p)
 			return t
 		}
-		return farFuture
+		m.sleepers[p&m.sleepMask] |= 1 << h.id
+		return ooo.NoEvent
 	}
 	t := m.chans[h.id].grant(ct)
 	m.deliver[h.id].Put(p, t)
@@ -490,6 +517,7 @@ func (h *coreHooks) OnIssue(u *ooo.UOp, now int64) {
 	m := h.m
 	if !u.Item.Replica {
 		m.completeAt.Put(u.GSeq(), u.CompleteAt())
+		m.wakeSleepers(u.GSeq(), h.id, now)
 	}
 	if u.DI().IsStore() {
 		m.pendingStores[h.id].markIssued(u.GSeq())
@@ -500,6 +528,29 @@ func (h *coreHooks) OnIssue(u *ooo.UOp, now int64) {
 	}
 	if m.seq.blocked && m.seq.blockedOn == u.GSeq() && !u.Item.Replica {
 		m.seq.resolveBranch(u.GSeq(), u.CompleteAt())
+	}
+}
+
+// wakeSleepers wakes the consumers asleep on producer g, which issued
+// on core src at cycle now, for the cycle a polling consumer would
+// first have seen its completion: this cycle on a core that runs after
+// src within Machine.Cycle, the next cycle on one that already ran.
+func (m *Machine) wakeSleepers(g uint64, src int, now int64) {
+	slot := &m.sleepers[g&m.sleepMask]
+	flags := *slot
+	if flags == 0 {
+		return
+	}
+	*slot = 0
+	for d := 0; d < 2; d++ {
+		if flags&(1<<d) == 0 {
+			continue
+		}
+		at := now
+		if d < src {
+			at = now + 1
+		}
+		m.cores[d].WakeExt(g, g+1, at)
 	}
 }
 

@@ -103,39 +103,5 @@ func NewMachineAt(cfg config.Machine, tr *trace.Trace, warm *WarmState) (*Machin
 // region. It returns the total cycle count and that boundary cycle
 // (equal to total when warmInsts covers the whole trace).
 func (m *Machine) DrainMeasured(warmInsts uint64) (total, warmEnd int64, err error) {
-	limit := int64(m.tr.Len()+1000) * maxCyclesPerInst
-	var now, lastProgress int64
-	warmEnd = -1
-	lastCommit := m.nextCommit
-	if lastCommit >= warmInsts {
-		warmEnd = 0
-	}
-	for !m.Done() {
-		if m.nextCommit != lastCommit {
-			lastCommit, lastProgress = m.nextCommit, now
-		}
-		if now-lastProgress > ooo.LivelockWindow || now > limit {
-			return now, now, m.livelockSnapshot(now, now-lastProgress)
-		}
-		if next := m.NextEvent(now); next > now {
-			if w := lastProgress + ooo.LivelockWindow + 1; next > w {
-				next = w
-			}
-			if next > limit+1 {
-				next = limit + 1
-			}
-			m.SkipTo(now, next)
-			now = next
-			continue
-		}
-		m.Cycle(now)
-		now++
-		if warmEnd < 0 && m.nextCommit >= warmInsts {
-			warmEnd = now
-		}
-	}
-	if warmEnd < 0 {
-		warmEnd = now
-	}
-	return now, warmEnd, nil
+	return m.drain(true, warmInsts)
 }

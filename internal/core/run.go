@@ -97,28 +97,43 @@ func RunWith(cfg config.Machine, tr *trace.Trace, opts RunOptions) (stats.Run, e
 // run would have fired at, because skips are clamped to the watchdog
 // bounds.
 func (m *Machine) Drain() (int64, error) {
-	return m.drain(true)
+	total, _, err := m.drain(true, 0)
+	return total, err
 }
 
 // DrainTicked is Drain without event-driven skipping: every cycle is
 // simulated individually. It exists for the skip-vs-tick differential
 // tests; both paths must produce identical summaries and cycle counts.
 func (m *Machine) DrainTicked() (int64, error) {
-	return m.drain(false)
+	total, _, err := m.drain(false, 0)
+	return total, err
 }
 
-func (m *Machine) drain(skip bool) (int64, error) {
+// drain is the one run loop behind Drain, DrainTicked and
+// DrainMeasured. skip enables event-driven time advance; warmEnd is the
+// cycle by which the global commit pointer had passed warmInsts (total
+// when it never did).
+func (m *Machine) drain(skip bool, warmInsts uint64) (total, warmEnd int64, err error) {
 	limit := int64(m.tr.Len()+1000) * maxCyclesPerInst
 	var now, lastProgress int64
+	warmEnd = -1
 	lastCommit := m.nextCommit
+	if lastCommit >= warmInsts {
+		warmEnd = 0
+	}
+	// idle: the last ticked cycle moved nothing, so the next one may be
+	// dead. After a busy cycle NextEvent almost always answers "now",
+	// and ticking a dead cycle is exact anyway, so the loop asks only
+	// after an idle one.
+	idle := true
 	for !m.Done() {
 		if m.nextCommit != lastCommit {
 			lastCommit, lastProgress = m.nextCommit, now
 		}
 		if now-lastProgress > ooo.LivelockWindow || now > limit {
-			return now, m.livelockSnapshot(now, now-lastProgress)
+			return now, now, m.livelockSnapshot(now, now-lastProgress)
 		}
-		if skip {
+		if skip && idle {
 			if next := m.NextEvent(now); next > now {
 				if w := lastProgress + ooo.LivelockWindow + 1; next > w {
 					next = w
@@ -128,13 +143,22 @@ func (m *Machine) drain(skip bool) (int64, error) {
 				}
 				m.SkipTo(now, next)
 				now = next
+				idle = false // next is an event (or the watchdog fires)
 				continue
 			}
 		}
+		work := m.activity()
 		m.Cycle(now)
 		now++
+		idle = m.activity() == work
+		if warmEnd < 0 && m.nextCommit >= warmInsts {
+			warmEnd = now
+		}
 	}
-	return now, nil
+	if warmEnd < 0 {
+		warmEnd = now
+	}
+	return now, warmEnd, nil
 }
 
 // livelockSnapshot assembles the watchdog diagnostic at cycle now.

@@ -157,7 +157,7 @@ func (s *steerer) steerNext() {
 		}
 	}
 
-	s.modelSteered(d, inf.home, inf.replica)
+	s.modelSteered(d, srcs, inf.home, inf.replica)
 
 	// Update register availability.
 	if d.HasDst() {
@@ -334,13 +334,13 @@ func unpipelinedKind(d *isa.DynInst) (int, bool) {
 	return 0, false
 }
 
-// modelSteered advances the readiness model after steering d to home
-// (and, for replicas, to both cores).
-func (s *steerer) modelSteered(d *isa.DynInst, home uint8, replica bool) {
+// modelSteered advances the readiness model after steering d, whose
+// register sources are srcs, to home (and, for replicas, to both
+// cores).
+func (s *steerer) modelSteered(d *isa.DynInst, srcs []isa.Reg, home uint8, replica bool) {
 	start := s.estClock[home]
 	comm := float64(s.cfg.CommLatency)
-	var buf [3]isa.Reg
-	for _, r := range d.Sources(buf[:0]) {
+	for _, r := range srcs {
 		st := s.avail[r]
 		ready := s.estReady[r]
 		if st.inUse && !st.both && st.core != home {

@@ -47,11 +47,8 @@ func (c *CacheConfig) Validate() error {
 
 // CacheStats counts the traffic a cache has seen.
 type CacheStats struct {
-	Accesses    uint64
-	Misses      uint64
-	Evictions   uint64
-	Writebacks  uint64
-	Invalidates uint64
+	Accesses uint64
+	Misses   uint64
 }
 
 // MissRate returns misses per access.
@@ -164,12 +161,6 @@ func (c *Cache) allocate(base int, tag uint64, write bool) bool {
 	}
 	v := &c.lines[victim]
 	wb := v.valid && v.dirty
-	if v.valid {
-		c.Stats.Evictions++
-		if wb {
-			c.Stats.Writebacks++
-		}
-	}
 	*v = line{tag: tag, valid: true, dirty: write, age: c.clock}
 	return wb
 }
@@ -185,7 +176,6 @@ func (c *Cache) Invalidate(addr uint64) bool {
 		l := &c.lines[base+w]
 		if l.valid && l.tag == tag {
 			l.valid = false
-			c.Stats.Invalidates++
 			return true
 		}
 	}

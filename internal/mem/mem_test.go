@@ -109,9 +109,6 @@ func TestCacheWritebackOnDirtyEviction(t *testing.T) {
 	if !wb {
 		t.Error("evicting a dirty line must report writeback")
 	}
-	if c.Stats.Writebacks != 1 {
-		t.Errorf("writebacks = %d, want 1", c.Stats.Writebacks)
-	}
 }
 
 func TestCacheInvalidate(t *testing.T) {
@@ -251,9 +248,6 @@ func TestSharedL2PairInvalidation(t *testing.T) {
 	a.Store(0x9000)
 	if lat := b.Load(0x9000); lat != 2+10 {
 		t.Errorf("post-invalidate load latency %d, want 12", lat)
-	}
-	if b.L1D.Stats.Invalidates != 1 {
-		t.Errorf("peer invalidates = %d, want 1", b.L1D.Stats.Invalidates)
 	}
 }
 

@@ -21,7 +21,8 @@ const freedGSeq = ^uint64(0)
 
 // sleepForever marks a candidate blocked on an unissued producer: it
 // has no computable wake time, so it sleeps until the producer's
-// startExec walks its waiter chain.
+// startExec walks its waiter chain (local producer) or the coordinator
+// calls WakeExt (remote producer).
 const sleepForever = int64(1) << 62
 
 // UOp is one in-flight instruction. The timing fields are written by
@@ -56,9 +57,10 @@ type UOp struct {
 	// wakeAt is the earliest cycle the blocked source can answer ready:
 	// the exact ready time when blocked on an issued local producer
 	// (its schedule is fixed), sleepForever when blocked on an unissued
-	// one (startExec wakes the waiter chain), else the next cycle
-	// (external deliveries must be re-polled). The issue scan skips the
-	// uop until then; see srcReady for why that is exact.
+	// one (startExec wakes the waiter chain), and ExtReadyAt's binding
+	// answer when blocked on an external source (WakeExt can bring it
+	// forward). The issue scan skips the uop until then; see srcReady
+	// for why that is exact.
 	wakeAt int64
 	// Producer-issue wakeup chain: waiters heads the intrusive list of
 	// uops sleeping until THIS uop issues; nextWaiter links a sleeping
@@ -76,11 +78,6 @@ type UOp struct {
 	hasFwd      bool
 
 	mispredicted bool // branch mispredicted by the internal front end
-
-	// extWaitAt is the last cycle an external (cross-core) operand of
-	// this uop was polled and found not ready — the signal the cycle
-	// attribution uses to classify a head stall as channel-wait.
-	extWaitAt int64
 }
 
 // DI returns the architectural instruction record.
@@ -111,8 +108,14 @@ func (u *UOp) ForwardedFromGSeq() (uint64, bool) { return u.fwdGSeq, u.hasFwd }
 // Hooks yields a self-contained core.
 type Hooks interface {
 	// ExtReadyAt returns the cycle at which source srcIdx of u (whose
-	// producer is not local to this core) becomes usable. Return 0 for
-	// architecturally-ready values; return a future cycle to stall.
+	// producer is not local to this core) becomes usable; any cycle
+	// <= now means ready. A later answer is binding: the core does not
+	// poll that source again before it unless WakeExt wakes u earlier.
+	// So answer a memoised delivery with its cycle, a refusal that may
+	// lift at any cycle (an injected channel stall) with now+1, and a
+	// producer that has not issued with NoEvent — and then call WakeExt
+	// when it issues, and whenever a delivery answered before is
+	// forgotten.
 	ExtReadyAt(u *UOp, srcIdx int, now int64) int64
 	// LoadGate reports whether the load u may issue at now, considering
 	// cross-core memory ordering. speculative marks issues that bypass
@@ -176,16 +179,31 @@ type Core struct {
 
 	// cand lists dispatched-but-unissued uops in GSeq order: the issue
 	// stage scans only these instead of the whole ROB. budgets is the
-	// per-cluster issue-resource scratch reused every cycle.
+	// per-cluster issue-resource scratch reused every cycle, reset from
+	// the full per-cluster budget each scan.
 	cand    []*UOp
 	budgets []issueBudget
+	budget  issueBudget
 
 	// scanIdle records that the last issue scan found every candidate
 	// sleeping; nextWake is the earliest of their wake times. While set,
 	// the issue stage skips the scan entirely until nextWake, a dispatch
-	// appends a fresh candidate, or a squash rewrites the list.
+	// appends a fresh candidate, a squash rewrites the list, or WakeExt
+	// brings a wake time forward.
 	scanIdle bool
 	nextWake int64
+
+	// finished counts the ROB-front entries OldestUnfinished has seen
+	// finished as of cycle finishedAt. Being finished is monotone in the
+	// cycle, so the next query resumes there instead of at the head;
+	// commit pops finished entries (decrement) and squash truncates the
+	// back (clamp).
+	finished   int
+	finishedAt int64
+
+	// dispatched counts dispatched uops; with the fetch, issue, retire
+	// and squash counters it makes up Activity.
+	dispatched uint64
 
 	// sqUnissued counts unissued stores in the SQ; sqOldestUnissued is
 	// the GSeq of the oldest one (the disambiguation watermark): loads
@@ -265,6 +283,10 @@ func NewCore(cfg Config, hier *mem.Hierarchy, stream Stream, hooks Hooks) (*Core
 		iqCount:          make([]int, cfg.Clusters),
 		sqOldestUnissued: freedGSeq,
 		oracle:           cfg.DepPredBits < 0,
+	}
+	c.budget = issueBudget{
+		alu: cfg.IntALU, muldiv: cfg.IntMulDiv, fp: cfg.FPU,
+		ld: cfg.LoadPorts, st: cfg.StorePorts, slots: cfg.IssueWidth,
 	}
 	if defCap > 0 {
 		c.defq = newUOpRing(defCap)
@@ -427,8 +449,8 @@ func (c *Core) Cycle(now int64) {
 // attributeCycle lands this cycle in exactly one CPI-stack bucket,
 // keyed off the commit head after the commit stage ran: committing
 // cycles are active; an empty window blames the front end; an unissued
-// head blames its operands (channel-wait when the last failed poll was
-// an external source); an executing head blames latency; a complete but
+// head blames its operands (channel-wait when the source it is blocked
+// on is external); an executing head blames latency; a complete but
 // uncommitted head blames the commit gate.
 func (c *Core) attributeCycle(now int64, retiredBefore uint64) {
 	switch {
@@ -440,9 +462,9 @@ func (c *Core) attributeCycle(now int64, retiredBefore uint64) {
 		u := c.rob.front()
 		switch {
 		case !u.issued:
-			// The issue stage last polled operands at now-1 (commit runs
-			// first within a cycle).
-			if u.extWaitAt >= now-1 {
+			// The oldest candidate is probed on every scan it is awake
+			// for, so waitSrc names the source it last failed on.
+			if j := u.waitSrc; j >= 0 && u.ext[j] {
 				c.rpt.CyclesChannelWait++
 			} else {
 				c.rpt.CyclesIssueWait++
@@ -503,7 +525,6 @@ func (c *Core) fetch(now int64) {
 		u.Item = item
 		u.dispatchReady = now + int64(c.cfg.FrontendDepth)
 		u.completeAt = notReady
-		u.extWaitAt = -2 // no external poll yet
 		u.waitSrc = -1
 		u.wakeAt = 0
 		u.waiters, u.nextWaiter, u.waitingOn = nil, nil, freedGSeq
@@ -603,6 +624,7 @@ func (c *Core) dispatch(now int64) {
 			panic("ooo: window table collision")
 		}
 		c.iqCount[cluster]++
+		c.dispatched++
 		u.dispatched = true
 		c.cand = append(c.cand, u)
 		c.scanIdle = false
@@ -778,16 +800,9 @@ func (c *Core) issue(now int64) {
 	c.scanIdle = false
 	budgets := c.budgets
 	for k := range budgets {
-		budgets[k] = issueBudget{
-			alu: c.cfg.IntALU, muldiv: c.cfg.IntMulDiv, fp: c.cfg.FPU,
-			ld: c.cfg.LoadPorts, st: c.cfg.StorePorts, slots: c.cfg.IssueWidth,
-		}
+		budgets[k] = c.budget
 	}
-
-	free := 0
-	for k := range budgets {
-		free += budgets[k].slots
-	}
+	free := len(budgets) * c.budget.slots
 	cand := c.cand
 	allSleep := true
 	minWake := sleepForever
@@ -838,9 +853,9 @@ func (c *Core) issue(now int64) {
 	c.cand = cand[:w]
 	if allSleep {
 		// Nothing was probed: the list (possibly empty) is all sleepers.
-		// The oldest candidate never sleeps on an unissued producer (its
-		// producers, being older, would precede it in the list), so
-		// minWake is finite whenever the list is non-empty.
+		// minWake can be a sleep with no computable end — even the
+		// oldest candidate waits on an unissued producer when that
+		// producer is remote — and then only WakeExt ends it.
 		c.scanIdle, c.nextWake = true, minWake
 	}
 }
@@ -1019,10 +1034,10 @@ func (c *Core) operandsReady(u *UOp, now int64) bool {
 func (c *Core) srcReady(u *UOp, i int, now int64) bool {
 	if u.ext[i] {
 		if t := c.hooks.ExtReadyAt(u, i, now); t > now {
-			u.extWaitAt = now
-			// External delivery estimates are not binding (fault
-			// injection can defer them): re-poll every cycle.
-			u.wakeAt = now + 1
+			// Binding (see Hooks.ExtReadyAt): skipping the polls before t
+			// skips pure reads, and WakeExt brings t forward exactly when
+			// a poll would start answering differently.
+			u.wakeAt = t
 			return false
 		}
 		return true
@@ -1205,6 +1220,9 @@ func (c *Core) commit(now int64) {
 			c.hier.Store(d.Addr)
 		}
 		c.rob.popFront()
+		if c.finished > 0 {
+			c.finished--
+		}
 		c.wdelete(u)
 		if d.IsLoad() {
 			c.lq.popFront()
@@ -1307,6 +1325,9 @@ func (c *Core) SquashFrom(gseq uint64, now int64) {
 		c.freeUOp(c.rob.at(j))
 	}
 	c.rob.truncateFrom(cut)
+	if c.finished > cut {
+		c.finished = cut
+	}
 
 	// Recount the unissued-store watermark over the surviving SQ.
 	c.sqUnissued = 0
@@ -1349,18 +1370,56 @@ func (c *Core) SquashFrom(gseq uint64, now int64) {
 // OldestUnfinished returns the GSeq of the oldest instruction this core
 // knows about that has not finished executing by cycle now (in the ROB
 // or still in the fetch queue). ok=false means everything the core
-// holds is complete.
+// holds is complete. The walk resumes past the entries an earlier
+// query at a cycle <= now already saw finished (see finished).
 func (c *Core) OldestUnfinished(now int64) (uint64, bool) {
-	for i := 0; i < c.rob.len(); i++ {
-		u := c.rob.at(i)
-		if !u.issued || u.completeAt > now {
-			return u.Item.GSeq, true
+	if now < c.finishedAt {
+		c.finished = 0
+	}
+	c.finishedAt = now
+	i := c.finished
+	for ; i < c.rob.len(); i++ {
+		if u := c.rob.at(i); !u.issued || u.completeAt > now {
+			break
 		}
+	}
+	c.finished = i
+	if i < c.rob.len() {
+		return c.rob.at(i).Item.GSeq, true
 	}
 	if c.fetchq.len() > 0 {
 		return c.fetchq.front().Item.GSeq, true
 	}
 	return 0, false
+}
+
+// WakeExt wakes, at cycle at, every candidate asleep on an external
+// source whose producer gseq lies in [lo, hi): its next issue scan at
+// or after at re-polls ExtReadyAt. The coordinator calls it when such
+// a producer issues, and when it forgets deliveries it already
+// answered. Candidates due no later than at are left alone.
+func (c *Core) WakeExt(lo, hi uint64, at int64) {
+	for _, u := range c.cand {
+		j := u.waitSrc
+		if u.wakeAt <= at || j < 0 || !u.ext[j] {
+			continue
+		}
+		if p := u.Item.Deps[j].Producer; p >= lo && p < hi {
+			u.wakeAt = at
+			if c.scanIdle && at < c.nextWake {
+				c.nextWake = at
+			}
+		}
+	}
+}
+
+// Activity counts the pipeline work done so far: uops fetched,
+// dispatched, issued and retired, plus squashes. A drain loop compares
+// it across a ticked cycle; only a cycle that moved nothing is worth
+// asking NextEvent about.
+func (c *Core) Activity() uint64 {
+	return c.rpt.Fetched + c.dispatched + c.rpt.Issued +
+		c.rpt.Committed + c.rpt.Replicas + c.rpt.Squashes
 }
 
 // HasIssuedStoreBelow reports whether an issued, still-uncommitted

@@ -110,46 +110,5 @@ func NewCoreAt(cfg Config, hier *mem.Hierarchy, stream Stream, hooks Hooks, warm
 // region. It returns the total cycle count and that boundary cycle
 // (equal to total when warmInsts covers the whole stream).
 func DrainMeasured(core *Core, traceLen int, warmInsts uint64) (total, warmEnd int64, err error) {
-	limit := int64(traceLen+1000) * maxCyclesPerInst
-	var now, lastProgress int64
-	warmEnd = -1
-	lastCommitted := core.Committed()
-	if lastCommitted >= warmInsts {
-		warmEnd = 0
-	}
-	for !core.Done() {
-		if c := core.Committed(); c != lastCommitted {
-			lastCommitted, lastProgress = c, now
-		}
-		if now-lastProgress > LivelockWindow || now > limit {
-			return now, now, &LivelockError{
-				Core:        core.Config().Name,
-				Cycles:      now,
-				SinceCommit: now - lastProgress,
-				Committed:   lastCommitted,
-				TraceLen:    traceLen,
-				InFlight:    core.InFlight(),
-			}
-		}
-		if next := core.NextEvent(now, nil); next > now {
-			if w := lastProgress + LivelockWindow + 1; next > w {
-				next = w
-			}
-			if next > limit+1 {
-				next = limit + 1
-			}
-			core.SkipTo(now, next)
-			now = next
-			continue
-		}
-		core.Cycle(now)
-		now++
-		if warmEnd < 0 && core.Committed() >= warmInsts {
-			warmEnd = now
-		}
-	}
-	if warmEnd < 0 {
-		warmEnd = now
-	}
-	return now, warmEnd, nil
+	return drain(core, traceLen, true, warmInsts)
 }

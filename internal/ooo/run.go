@@ -91,26 +91,41 @@ func RunTraceWith(cfg Config, hcfg mem.HierarchyConfig, tr *trace.Trace, opts Ru
 // returns a *LivelockError wrapping ErrLivelock instead of spinning
 // forever.
 func Drain(core *Core, traceLen int) (int64, error) {
-	return drain(core, traceLen, true)
+	total, _, err := drain(core, traceLen, true, 0)
+	return total, err
 }
 
 // DrainTicked is Drain without event-driven skipping: every cycle is
 // simulated individually. It exists for the skip-vs-tick differential
 // tests; both paths must produce identical reports and cycle counts.
 func DrainTicked(core *Core, traceLen int) (int64, error) {
-	return drain(core, traceLen, false)
+	total, _, err := drain(core, traceLen, false, 0)
+	return total, err
 }
 
-func drain(core *Core, traceLen int, skip bool) (int64, error) {
+// drain is the one run loop behind Drain, DrainTicked and
+// DrainMeasured. skip enables event-driven time advance; warmEnd is the
+// cycle by which the first warmInsts instructions had all committed
+// (total when they never did).
+func drain(core *Core, traceLen int, skip bool, warmInsts uint64) (total, warmEnd int64, err error) {
 	limit := int64(traceLen+1000) * maxCyclesPerInst
 	var now, lastProgress int64
+	warmEnd = -1
 	lastCommitted := core.Committed()
+	if lastCommitted >= warmInsts {
+		warmEnd = 0
+	}
+	// idle: the last ticked cycle moved nothing, so the next one may be
+	// dead. After a busy cycle NextEvent almost always answers "now",
+	// and ticking a dead cycle is exact anyway, so the loop asks only
+	// after an idle one.
+	idle := true
 	for !core.Done() {
 		if c := core.Committed(); c != lastCommitted {
 			lastCommitted, lastProgress = c, now
 		}
 		if now-lastProgress > LivelockWindow || now > limit {
-			return now, &LivelockError{
+			return now, now, &LivelockError{
 				Core:        core.Config().Name,
 				Cycles:      now,
 				SinceCommit: now - lastProgress,
@@ -119,7 +134,7 @@ func drain(core *Core, traceLen int, skip bool) (int64, error) {
 				InFlight:    core.InFlight(),
 			}
 		}
-		if skip {
+		if skip && idle {
 			if next := core.NextEvent(now, nil); next > now {
 				// Clamp so the watchdog fires at exactly the cycle a
 				// ticked run would have reached before tripping.
@@ -131,13 +146,22 @@ func drain(core *Core, traceLen int, skip bool) (int64, error) {
 				}
 				core.SkipTo(now, next)
 				now = next
+				idle = false // next is an event (or the watchdog fires)
 				continue
 			}
 		}
+		work := core.Activity()
 		core.Cycle(now)
 		now++
+		idle = core.Activity() == work
+		if warmEnd < 0 && core.Committed() >= warmInsts {
+			warmEnd = now
+		}
 	}
-	return now, nil
+	if warmEnd < 0 {
+		warmEnd = now
+	}
+	return now, warmEnd, nil
 }
 
 // Summarize converts a finished core's report into a stats.Run.

@@ -3,16 +3,20 @@ package ooo
 // Event-driven time advance. A cycle is *dead* when every pipeline
 // stage would run and change nothing observable: nothing retires, no
 // candidate can issue, the fetch-queue head cannot dispatch, and fetch
-// is stalled (or has nothing to fetch). The PR-4 wake-time bookkeeping
-// already computes exactly when the next state change can happen —
-// NextEvent reads it out, and SkipTo replays, in bulk, the only
-// mutations a ticked run of the dead span would have made (cycle
-// counters, CPI-stack attribution, per-cycle stall counters, and the
-// extWaitAt/wakeAt restamps of failed channel polls). The run loops in
-// run.go (and internal/core for the two-core machine) jump the clock
-// across dead spans; the committed evaluation output is byte-identical
-// to the ticked engine by construction, and the differential tests in
-// skip_test.go check it over randomized configs and traces.
+// is stalled (or has nothing to fetch). The issue stage's wake times
+// already say exactly when the next state change can happen — every
+// unissued candidate sleeps until a fixed cycle or until a producer's
+// issue wakes it, local (startExec) or remote (WakeExt) — so NextEvent
+// reads them out, and SkipTo replays, in bulk, the only mutations a
+// ticked run of the dead span would have made: cycle counters,
+// CPI-stack attribution and per-cycle stall counters. Ticking a dead
+// cycle leaves the same state as skipping it, so the run loops in
+// run.go (and internal/core for the two-core machine) ask NextEvent
+// only after a ticked cycle that moved nothing, and jump the clock
+// across the dead span it reports. The committed evaluation output is
+// byte-identical to the ticked engine by construction, and the
+// differential tests in skip_test.go check it over randomized configs
+// and traces.
 
 // NoEvent is NextEvent's "no computable future event" value. It is
 // deliberately larger than any real cycle number but small enough that
@@ -93,37 +97,23 @@ func (c *Core) NextEvent(now int64, gate CommitGate) int64 {
 		}
 	}
 
-	// Issue: every candidate is either asleep until a known wake time,
-	// or awake but blocked on an external operand — which must be
-	// re-polled *live* here, because a cached estimate goes stale the
-	// moment the remote producer issues (the sibling core's event does
-	// not refresh this core's candidates). The poll is exactly the one
-	// a ticked scan would make this cycle: on a dead cycle no candidate
-	// issues, so the scan's budgets never run out and it probes every
-	// awake candidate in list order — the same order as this walk — and
-	// ExtReadyAt memoises, so when a later candidate turns out to be an
-	// event, the real cycle's scan repeats these polls as pure reads.
+	// Issue: an awake candidate is probed this cycle, which can issue
+	// it or grant it a channel slot — an event. Every other candidate
+	// sleeps until a binding wake time; a sleep with no computable end
+	// (NoEvent or sleepForever) ends only through another core's or this
+	// core's issue, itself an event.
 	if c.scanIdle && now < c.nextWake {
 		if c.nextWake < next {
 			next = c.nextWake
 		}
 	} else {
 		for _, u := range c.cand {
-			if u.wakeAt > now {
-				if u.wakeAt < next {
-					next = u.wakeAt
-				}
-				continue
+			if u.wakeAt <= now {
+				return now
 			}
-			if j := u.waitSrc; j >= 0 && u.ext[j] {
-				if t := c.hooks.ExtReadyAt(u, int(j), now); t > now {
-					if t < next {
-						next = t
-					}
-					continue
-				}
+			if u.wakeAt < next {
+				next = u.wakeAt
 			}
-			return now
 		}
 	}
 
@@ -144,9 +134,11 @@ func (c *Core) NextEvent(now int64, gate CommitGate) int64 {
 }
 
 // SkipTo replays the bookkeeping of the dead cycles [from, to): every
-// per-cycle counter and poll-cache mutation the ticked Cycle sequence
-// would have performed, in bulk. The caller must have established via
-// NextEvent that every cycle in the span is dead.
+// per-cycle counter the ticked Cycle sequence would have advanced, in
+// bulk. The caller must have established via NextEvent that every
+// cycle in the span is dead. Every candidate sleeps through the span,
+// so the issue stage has nothing to replay: a ticked scan would only
+// have recorded that it idles.
 func (c *Core) SkipTo(from, to int64) {
 	n := to - from
 	c.rpt.Cycles = to
@@ -154,11 +146,7 @@ func (c *Core) SkipTo(from, to int64) {
 	// CPI-stack attribution. The classification is constant across a
 	// dead span except for an executing head crossing its completion
 	// (execute → commit-blocked); see attributeCycle for the per-cycle
-	// form. A channel-blocked head is restamped extWaitAt = cycle-1 by
-	// its failing poll every cycle of the span, so the ticked test
-	// `extWaitAt >= now-1` is equivalent to "last blocked on an external
-	// source"; an asleep head last failed on a local source, so its
-	// stale extWaitAt classifies every span cycle as issue-wait.
+	// form.
 	switch {
 	case c.rob.len() == 0:
 		c.rpt.CyclesFetchStarved += n
@@ -181,30 +169,6 @@ func (c *Core) SkipTo(from, to int64) {
 			}
 			c.rpt.CyclesExecute += split - from
 			c.rpt.CyclesCommitBlocked += to - split
-		}
-	}
-
-	// Issue stage: either the whole scan idles (all candidates asleep —
-	// the first dead cycle records the idle watermark exactly as a
-	// ticked scan would), or the awake, channel-blocked candidates are
-	// re-polled every cycle, each poll restamping extWaitAt/wakeAt. The
-	// span's last poll happens at to-1.
-	if !(c.scanIdle && from < c.nextWake) {
-		probed := false
-		minWake := sleepForever
-		for _, u := range c.cand {
-			if u.wakeAt > from {
-				if u.wakeAt < minWake {
-					minWake = u.wakeAt
-				}
-				continue
-			}
-			u.extWaitAt = to - 1
-			u.wakeAt = to
-			probed = true
-		}
-		if !probed {
-			c.scanIdle, c.nextWake = true, minWake
 		}
 	}
 

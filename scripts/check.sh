@@ -2,6 +2,10 @@
 # Tier-1 gate: everything a change must pass before it lands.
 #   go vet          static checks
 #   go build        whole-tree compile (commands and examples included)
+#   bench vet       go vet of the bench/ module (its own go.mod, so
+#                   ./... above does not reach it), plain and with the
+#                   traced run's build tag: an internal API change that
+#                   breaks the benchmark's build fails here
 #   go test -race   unit + guard tests under the race detector; this is
 #                   what keeps the worker-pool harness honest — the
 #                   concurrent-modes guard test replays one shared trace
@@ -44,6 +48,10 @@ go vet ./...
 
 echo "== go build ./..."
 go build ./...
+
+echo "== go vet bench/ (plain and -tags fgstpperf_trace)"
+go -C bench vet ./...
+go -C bench vet -tags fgstpperf_trace ./...
 
 echo "== go test -race ./..."
 go test -race ./...
