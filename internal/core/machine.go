@@ -99,12 +99,6 @@ type Machine struct {
 	// so either core may retire its own instructions up to it without
 	// risking a squash of committed state.
 	commitFrontier uint64
-	// commitsDone counts commits per gseq (replicated instructions
-	// need two) until nextCommit passes them. Entries below nextCommit
-	// can linger (a squash victim that committed the same cycle its
-	// squash was requested recommits after the rewind); they are never
-	// read again and the prune pass sweeps them.
-	commitsDone *gseqtab.Table[uint8]
 
 	depPred *ooo.DepPred
 	// storeSets, when non-nil, replaces the load-wait policy: a load
@@ -187,7 +181,6 @@ func NewMachine(cfg config.Machine, tr *trace.Trace) (*Machine, error) {
 	// stale keys can linger for one prune period (8192 commits) on top.
 	span := 2*cfg.FgSTP.Window + 4*cfg.Core.ROBSize + prunePeriod
 	m.completeAt = gseqtab.New[int64](span)
-	m.commitsDone = gseqtab.New[uint8](span)
 	m.deliver[0] = gseqtab.New[int64](span)
 	m.deliver[1] = gseqtab.New[int64](span)
 	m.pendingStores[0] = newStoreTracker()
@@ -277,14 +270,6 @@ func (m *Machine) SetEventSink(sink metrics.Sink) {
 	m.cores[1].SetEventSink(sink, 1)
 }
 
-// expected returns how many commits gseq requires (2 when replicated).
-func (m *Machine) expected(gseq uint64) int {
-	if m.st.info(gseq).replica {
-		return 2
-	}
-	return 1
-}
-
 // Done reports whether the whole trace has committed.
 func (m *Machine) Done() bool { return m.nextCommit >= uint64(m.tr.Len()) }
 
@@ -369,10 +354,6 @@ func (m *Machine) applySquash(now int64) {
 // cycle now.
 func (m *Machine) prune(now int64) {
 	m.pruneMark = m.nextCommit
-	// Commit counts below nextCommit are dead (the advance loop only
-	// reads at or above it); sweeping them keeps their table slots free
-	// for the window-aliased gseqs that will need them.
-	m.commitsDone.DeleteBelow(m.nextCommit)
 	if m.nextCommit < uint64(m.cfg.FgSTP.Window)+uint64(4*m.cfg.Core.ROBSize) {
 		return
 	}
@@ -590,17 +571,24 @@ func (h *coreHooks) CanCommit(u *ooo.UOp, now int64) bool {
 	return u.GSeq() < h.m.commitFrontier
 }
 
-// OnCommit implements ooo.Hooks.
+// OnCommit implements ooo.Hooks: the commit counts live beside the
+// steering decisions, and the global commit pointer passes each
+// instruction once all its copies (two when replicated) have committed.
+// A squash victim that committed the same cycle its squash was
+// requested recommits after the rewind, below the pointer; that count
+// is never read again.
 func (h *coreHooks) OnCommit(u *ooo.UOp, now int64) {
 	m := h.m
-	n, _ := m.commitsDone.Get(u.GSeq())
-	m.commitsDone.Put(u.GSeq(), n+1)
-	for m.nextCommit < uint64(m.tr.Len()) {
-		c, _ := m.commitsDone.Get(m.nextCommit)
-		if int(c) != m.expected(m.nextCommit) {
+	m.st.info(u.GSeq()).commits++
+	for m.nextCommit < m.st.next {
+		inf := m.st.info(m.nextCommit)
+		want := uint8(1)
+		if inf.replica {
+			want = 2
+		}
+		if inf.commits != want {
 			break
 		}
-		m.commitsDone.Delete(m.nextCommit)
 		m.nextCommit++
 	}
 }

@@ -272,7 +272,10 @@ func (m *Machine) CommittedOf(core int) (uint64, uint64) {
 
 // SteerDecision exposes the steering decision for one instruction —
 // its home core and whether it is replicated — for inspection tools
-// like examples/tracetool.
+// like examples/tracetool. It decides instructions up to gseq if
+// needed. Read decisions in order, within the window: the machine keeps
+// only the last 2×Window+64 or more, and asking for an older one
+// panics.
 func SteerDecision(m *Machine, gseq uint64) (home int, replica bool) {
 	inf := m.st.info(gseq)
 	return int(inf.home), inf.replica

@@ -15,8 +15,11 @@ import (
 // checks): the old `q = q[1:]` slice idiom abandoned the backing
 // array's head on every delivered instruction and reallocated on
 // refill, a per-instruction allocation on the hottest path. Vacated
-// slots are not cleared — items only reference the trace and the
-// steering cache, both of which live for the whole run.
+// slots are not cleared and never read again. An item's Deps points
+// into the steering ring, whose slot is rewritten only once its
+// decision is a ring length (at least 2×Window+64) older than the
+// newest: by then the instruction has left the window and no uop reads
+// its Deps.
 type coreStream struct {
 	buf  []ooo.FetchItem
 	mask int

@@ -11,10 +11,15 @@ import (
 // its home core, whether it is replicated onto both cores, and the
 // producer of each source operand as seen from the home core. Decisions
 // are deterministic functions of the trace prefix, so they are computed
-// once and cached; squash-and-refetch replays them.
+// once and kept while the lookahead window can still reach them;
+// squash-and-refetch replays them.
 type steerInfo struct {
 	home    uint8
 	replica bool
+	// commits counts the instruction's commits so far (a replicated
+	// instruction needs two). Writing the slot's next decision resets
+	// it.
+	commits uint8
 	// deps[i] describes source i of the instruction from the home
 	// core's perspective. For a replicated instruction, all sources
 	// are available on both cores by construction, so the same deps
@@ -37,16 +42,22 @@ type regState struct {
 // affinity + load balance + replication) and the two strawman policies
 // used by the ablation experiments.
 type steerer struct {
-	cfg   config.FgSTP
-	tr    *trace.Trace
-	cache []steerInfo
+	cfg config.FgSTP
+	tr  *trace.Trace
+	// ring holds the decisions for the last len(ring) decided gseqs,
+	// gseq g at ring[g&mask]; next is the first undecided gseq. Every
+	// reader works within the lookahead window around the commit
+	// pointer, which the ring covers twice over.
+	ring  []steerInfo
+	mask  uint64
+	next  uint64
 	avail [isa.NumRegs]regState
-	// memLast records, per word address, the most recent steered store
-	// (its gseq and core). Loads vote for their predicted producer
-	// store's core — the steering unit reuses the dependence-
-	// speculation hardware's pairing, which for stable load/store
-	// pairs converges to exactly this mapping.
-	memLast map[uint64]regState
+	// stores maps a word address to the newest steered store to it
+	// among the last Window instructions. Loads vote for their
+	// predicted producer store's core — the steering unit reuses the
+	// dependence-speculation hardware's pairing, which for stable
+	// load/store pairs converges to exactly this mapping.
+	stores storeTable
 	// imbalance is (instructions steered to core 0) − (core 1),
 	// excluding replicas; the tie-breaker steers toward reducing it.
 	imbalance int64
@@ -96,15 +107,21 @@ type steerer struct {
 // window and forces work to the sibling once one core holds nearly all
 // of it (its window is then the bottleneck regardless of affinity).
 func newSteerer(cfg config.FgSTP, robSize int, tr *trace.Trace) *steerer {
+	// The sequencer decides up to Window instructions past the commit
+	// pointer, and readers reach back to just below it (a squash victim
+	// that committed in its squash cycle recommits): 2×Window+64 slots
+	// keep a further window plus slack behind the pointer. A trace
+	// shorter than that never wraps, so it needs no more slots.
+	size := 1
+	for size < 2*cfg.Window+64 && size < tr.Len() {
+		size <<= 1
+	}
 	return &steerer{
-		cfg: cfg,
-		tr:  tr,
-		// Steering decisions are computed once per trace instruction and
-		// never evicted, so the cache always ends at tr.Len() entries;
-		// reserving that up front keeps append-growth (and its
-		// steady-state allocations) off the fill path.
-		cache:        make([]steerInfo, 0, tr.Len()),
-		memLast:      make(map[uint64]regState),
+		cfg:          cfg,
+		tr:           tr,
+		ring:         make([]steerInfo, size),
+		mask:         uint64(size - 1),
+		stores:       newStoreTable(cfg.Window),
 		recentHome:   make([]uint8, robSize),
 		occupancyCap: robSize * 7 / 8,
 		recentRepl:   make([]bool, robSize),
@@ -112,22 +129,33 @@ func newSteerer(cfg config.FgSTP, robSize int, tr *trace.Trace) *steerer {
 	}
 }
 
-// decided returns how many instructions have steering decisions.
-func (s *steerer) decided() int { return len(s.cache) }
-
-// info returns the cached decision for gseq, computing decisions up to
-// and including it if needed.
+// info returns the decision for gseq, computing decisions up to and
+// including it if needed. Callers read decisions in order, within the
+// window: asking for one the ring has already overwritten panics, as
+// the cores' window table does on a collision — a silent alias would
+// hand out another instruction's dataflow.
 func (s *steerer) info(gseq uint64) *steerInfo {
-	for uint64(len(s.cache)) <= gseq {
+	for s.next <= gseq {
 		s.steerNext()
 	}
-	return &s.cache[gseq]
+	if s.next-gseq > uint64(len(s.ring)) {
+		panic("core: steering decision overwritten")
+	}
+	return &s.ring[gseq&s.mask]
 }
 
 // steerNext computes the decision for the next undecided instruction.
 func (s *steerer) steerNext() {
-	gseq := uint64(len(s.cache))
+	gseq := s.next
 	d := s.tr.At(int(gseq))
+	// Decisions are made once per gseq, in order, so the one store a
+	// load at gseq can no longer pair with, of those still paired one
+	// instruction earlier, is the one Window instructions older.
+	if w := uint64(s.cfg.Window); gseq >= w {
+		if old := s.tr.At(int(gseq - w)); old.IsStore() {
+			s.stores.expire(old.Addr, gseq-w)
+		}
+	}
 	var buf [3]isa.Reg
 	srcs := d.Sources(buf[:0])
 
@@ -164,7 +192,7 @@ func (s *steerer) steerNext() {
 		s.avail[d.Dst] = regState{gseq: gseq, core: inf.home, both: inf.replica, inUse: true}
 	}
 	if d.IsStore() {
-		s.memLast[d.Addr] = regState{gseq: gseq, core: inf.home, inUse: true}
+		s.stores.put(d.Addr, gseq)
 	}
 
 	s.Steered[inf.home]++
@@ -175,7 +203,8 @@ func (s *steerer) steerNext() {
 	}
 	s.lastHome = inf.home
 	s.trackHome(inf.home, inf.replica)
-	s.cache = append(s.cache, inf)
+	s.ring[gseq&s.mask] = inf
+	s.next++
 }
 
 // pickHome chooses the executing core for d under the configured
@@ -211,6 +240,16 @@ func (s *steerer) pickHome(d *isa.DynInst, srcs []isa.Reg) uint8 {
 	// must never pull a dependence chain apart, because the occupancy
 	// guard above already bounds imbalance at window granularity.
 	comm := float64(s.cfg.CommLatency)
+	// A load's predicted producer is the newest store to its address
+	// among the last Window instructions; that store's decision is
+	// still in the ring.
+	var storeHome uint8
+	paired := false
+	if d.IsLoad() {
+		if g, ok := s.stores.get(d.Addr); ok {
+			storeHome, paired = s.ring[g&s.mask].home, true
+		}
+	}
 	score := func(c uint8) float64 {
 		start := 0.0
 		for _, r := range srcs {
@@ -223,11 +262,8 @@ func (s *steerer) pickHome(d *isa.DynInst, srcs []isa.Reg) uint8 {
 				start = ready
 			}
 		}
-		if d.IsLoad() {
-			if st, ok := s.memLast[d.Addr]; ok &&
-				d.Seq-st.gseq < uint64(s.cfg.Window) && st.core != c {
-				start += comm
-			}
+		if paired && storeHome != c {
+			start += comm
 		}
 		return start
 	}

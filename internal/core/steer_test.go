@@ -1,6 +1,9 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -17,31 +20,65 @@ func steerCfg() config.FgSTP {
 	return f
 }
 
-func steerAll(t *testing.T, cfg config.FgSTP, tr *trace.Trace) *steerer {
-	t.Helper()
+// steerWalk steers all of tr in order and hands each decision to visit
+// (when non-nil) as it is made. Decisions live in a ring bounded by the
+// lookahead window, so tests read them during the walk, as the
+// sequencer does, rather than after it.
+func steerWalk(cfg config.FgSTP, tr *trace.Trace, visit func(g uint64, inf steerInfo)) *steerer {
 	s := newSteerer(cfg, 128, tr)
-	s.info(uint64(tr.Len() - 1))
+	for g := uint64(0); g < uint64(tr.Len()); g++ {
+		inf := s.info(g)
+		if visit != nil {
+			visit(g, *inf)
+		}
+	}
 	return s
 }
 
 // Steering totality: every instruction gets exactly one home core and
-// decisions are cached stably.
+// decisions are kept stably while the window can still reach them.
 func TestSteeringTotality(t *testing.T) {
 	w, _ := workloads.ByName("perlbench")
 	tr := w.Trace(10_000)
-	s := steerAll(t, steerCfg(), tr)
-	if s.decided() != tr.Len() {
-		t.Fatalf("decided %d of %d", s.decided(), tr.Len())
+	cfg := steerCfg()
+	s := newSteerer(cfg, 128, tr)
+	seen := make([]steerInfo, tr.Len())
+	for g := uint64(0); g < uint64(tr.Len()); g++ {
+		seen[g] = *s.info(g)
+		// Re-querying returns identical decisions (ring stability), back
+		// to the oldest decision the window can reach.
+		if g >= uint64(cfg.Window) {
+			old := g - uint64(cfg.Window)
+			if *s.info(old) != seen[old] {
+				t.Fatalf("decision %d changed by the time %d was decided", old, g)
+			}
+		}
+	}
+	if s.next != uint64(tr.Len()) {
+		t.Fatalf("decided %d of %d", s.next, tr.Len())
 	}
 	if s.Steered[0]+s.Steered[1] != uint64(tr.Len()) {
 		t.Errorf("steered %d+%d != %d", s.Steered[0], s.Steered[1], tr.Len())
 	}
-	// Re-querying returns identical decisions (cache stability).
-	first := *s.info(42)
-	again := *s.info(42)
-	if first != again {
-		t.Error("steering decision not stable")
+	if len(s.ring) >= tr.Len() {
+		t.Errorf("ring of %d slots for a %d-instruction trace at window %d: it should wrap", len(s.ring), tr.Len(), cfg.Window)
 	}
+}
+
+// A decision the ring has overwritten is never handed out: asking for
+// it panics rather than returning another instruction's dataflow.
+func TestSteeringRingOverwritePanics(t *testing.T) {
+	w, _ := workloads.ByName("gcc")
+	tr := w.Trace(5_000)
+	s := steerWalk(steerCfg(), tr, nil)
+	oldest := s.next - uint64(len(s.ring))
+	s.info(oldest) // still held
+	defer func() {
+		if recover() == nil {
+			t.Errorf("reading decision %d of %d with a %d-slot ring did not panic", oldest-1, s.next, len(s.ring))
+		}
+	}()
+	s.info(oldest - 1)
 }
 
 // Load balance: the affinity policy keeps the split within reasonable
@@ -49,7 +86,7 @@ func TestSteeringTotality(t *testing.T) {
 func TestSteeringBalance(t *testing.T) {
 	for _, w := range workloads.All() {
 		tr := w.Trace(20_000)
-		s := steerAll(t, steerCfg(), tr)
+		s := steerWalk(steerCfg(), tr, nil)
 		frac := float64(s.Steered[1]) / float64(tr.Len())
 		if frac < 0.25 || frac > 0.75 {
 			t.Errorf("%s: core-1 fraction %.2f outside [0.25, 0.75]", w.Name, frac)
@@ -64,7 +101,6 @@ func TestSteeringBalance(t *testing.T) {
 func TestSteeringDepsMatchDataflow(t *testing.T) {
 	w, _ := workloads.ByName("gcc")
 	tr := w.Trace(8_000)
-	s := steerAll(t, steerCfg(), tr)
 
 	type writer struct {
 		gseq uint64
@@ -74,30 +110,29 @@ func TestSteeringDepsMatchDataflow(t *testing.T) {
 	}
 	last := make(map[isa.Reg]writer)
 	var buf [3]isa.Reg
-	for i := 0; i < tr.Len(); i++ {
-		d := tr.At(i)
-		inf := s.info(uint64(i))
+	steerWalk(steerCfg(), tr, func(g uint64, inf steerInfo) {
+		d := tr.At(int(g))
 		for k, r := range d.Sources(buf[:0]) {
 			dep := inf.deps[k]
 			w, ok := last[r]
 			if !ok {
 				if dep.Producer != ooo.NoProducer {
-					t.Fatalf("inst %d src %s: producer %d, want architectural", i, r, dep.Producer)
+					t.Fatalf("inst %d src %s: producer %d, want architectural", g, r, dep.Producer)
 				}
 				continue
 			}
 			if dep.Producer != w.gseq {
-				t.Fatalf("inst %d src %s: producer %d, want %d", i, r, dep.Producer, w.gseq)
+				t.Fatalf("inst %d src %s: producer %d, want %d", g, r, dep.Producer, w.gseq)
 			}
 			wantRemote := !w.both && w.home != inf.home
 			if dep.Remote != wantRemote {
-				t.Fatalf("inst %d src %s: remote=%v, want %v", i, r, dep.Remote, wantRemote)
+				t.Fatalf("inst %d src %s: remote=%v, want %v", g, r, dep.Remote, wantRemote)
 			}
 		}
 		if d.HasDst() {
-			last[d.Dst] = writer{gseq: uint64(i), home: inf.home, both: inf.replica, ok: true}
+			last[d.Dst] = writer{gseq: g, home: inf.home, both: inf.replica, ok: true}
 		}
-	}
+	})
 }
 
 // Replication policy: replicas are only cheap pipelined register ops,
@@ -106,17 +141,16 @@ func TestReplicationOnlyCheapOps(t *testing.T) {
 	for _, name := range []string{"milc", "sjeng", "omnetpp"} {
 		w, _ := workloads.ByName(name)
 		tr := w.Trace(10_000)
-		s := steerAll(t, steerCfg(), tr)
-		for i := 0; i < tr.Len(); i++ {
-			if !s.info(uint64(i)).replica {
-				continue
+		steerWalk(steerCfg(), tr, func(g uint64, inf steerInfo) {
+			if !inf.replica {
+				return
 			}
-			switch tr.At(i).Class {
+			switch tr.At(int(g)).Class {
 			case isa.ClassIntAlu, isa.ClassIntMul, isa.ClassFPAlu, isa.ClassFPMul:
 			default:
-				t.Fatalf("%s inst %d (%s) replicated", name, i, tr.At(i).Class)
+				t.Fatalf("%s inst %d (%s) replicated", name, g, tr.At(int(g)).Class)
 			}
-		}
+		})
 	}
 }
 
@@ -125,7 +159,7 @@ func TestReplicationOnlyCheapOps(t *testing.T) {
 func TestReplicationBounded(t *testing.T) {
 	for _, w := range workloads.All() {
 		tr := w.Trace(15_000)
-		s := steerAll(t, steerCfg(), tr)
+		s := steerWalk(steerCfg(), tr, nil)
 		frac := float64(s.Replicated) / float64(tr.Len())
 		if frac > 0.20 {
 			t.Errorf("%s: replication fraction %.2f > 0.20", w.Name, frac)
@@ -138,10 +172,10 @@ func TestReplicationBounded(t *testing.T) {
 func TestReplicationDisabled(t *testing.T) {
 	w, _ := workloads.ByName("namd")
 	tr := w.Trace(10_000)
-	on := steerAll(t, steerCfg(), tr)
+	on := steerWalk(steerCfg(), tr, nil)
 	cfg := steerCfg()
 	cfg.Replication = false
-	off := steerAll(t, cfg, tr)
+	off := steerWalk(cfg, tr, nil)
 	if off.Replicated != 0 {
 		t.Errorf("replication disabled but %d replicas", off.Replicated)
 	}
@@ -175,20 +209,18 @@ func TestStrawmanSteering(t *testing.T) {
 
 	cfg := steerCfg()
 	cfg.Steering = "roundrobin"
-	s := steerAll(t, cfg, tr)
-	for i := 0; i < 100; i++ {
-		if s.info(uint64(i)).home != uint8(i&1) {
-			t.Fatalf("roundrobin inst %d on core %d", i, s.info(uint64(i)).home)
+	steerWalk(cfg, tr, func(g uint64, inf steerInfo) {
+		if g < 100 && inf.home != uint8(g&1) {
+			t.Fatalf("roundrobin inst %d on core %d", g, inf.home)
 		}
-	}
+	})
 
 	cfg.Steering = "chunk64"
-	s = steerAll(t, cfg, tr)
-	for i := 0; i < 256; i++ {
-		if s.info(uint64(i)).home != uint8((i/64)&1) {
-			t.Fatalf("chunk64 inst %d on core %d", i, s.info(uint64(i)).home)
+	steerWalk(cfg, tr, func(g uint64, inf steerInfo) {
+		if g < 256 && inf.home != uint8((g/64)&1) {
+			t.Fatalf("chunk64 inst %d on core %d", g, inf.home)
 		}
-	}
+	})
 }
 
 // Affinity keeps serial chains on one core: a pure dependent chain must
@@ -204,7 +236,7 @@ func TestAffinityKeepsChainLocal(t *testing.T) {
 	tr := trace.CaptureFromLabel(b.MustBuild(), "main", 0)
 	cfg := steerCfg()
 	cfg.Replication = false // isolate affinity behaviour
-	s := steerAll(t, cfg, tr)
+	s := steerWalk(cfg, tr, nil)
 	// The occupancy guard forces a switch roughly once per ROB worth of
 	// instructions; beyond those, the chain must stay local.
 	if s.RemoteDeps > uint64(tr.Len()/32) {
@@ -233,18 +265,17 @@ func TestMemoryAffinity(t *testing.T) {
 	b.Bne(isa.R2, isa.R0, "loop")
 	b.Halt()
 	tr := trace.CaptureFromLabel(b.MustBuild(), "main", 0)
-	s := steerAll(t, steerCfg(), tr)
 	split := 0
 	var lastStore uint8
-	for i := 0; i < tr.Len(); i++ {
-		d := tr.At(i)
+	steerWalk(steerCfg(), tr, func(g uint64, inf steerInfo) {
+		d := tr.At(int(g))
 		if d.IsStore() {
-			lastStore = s.info(uint64(i)).home
+			lastStore = inf.home
 		}
-		if d.IsLoad() && s.info(uint64(i)).home != lastStore {
+		if d.IsLoad() && inf.home != lastStore {
 			split++
 		}
-	}
+	})
 	loads := 0
 	for i := 0; i < tr.Len(); i++ {
 		if tr.At(i).IsLoad() {
@@ -270,8 +301,7 @@ func TestBalanceHysteresisBounded(t *testing.T) {
 		tr := trace.Capture(b.MustBuild(), 0)
 		cfg := steerCfg()
 		cfg.Replication = false
-		s := newSteerer(cfg, 128, tr)
-		s.info(uint64(tr.Len() - 1))
+		s := steerWalk(cfg, tr, nil)
 		diff := int64(s.Steered[0]) - int64(s.Steered[1])
 		if diff < 0 {
 			diff = -diff
@@ -280,5 +310,71 @@ func TestBalanceHysteresisBounded(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)
+	}
+}
+
+// steeringDigest is the SHA-256 over TestSteeringPinned's per-cell
+// lines, recorded on the trace-long decision array before the
+// window-bounded ring and store table replaced it. Steering is a pure
+// function of the trace prefix and the configuration, so a change to
+// its bookkeeping must leave every decision and counter as it was.
+const steeringDigest = "e88b2cfdc0d4294739ccb77dd0b72f85c3b374bb68fb55926f60136f4d348522"
+
+// TestSteeringPinned hashes every steering decision (home, replica,
+// and each source's producer and remoteness) and the four steering
+// counters over all workloads × the three policies × windows 8 to 4096
+// × replication on and off. Window 8 wraps the decision ring and ages
+// the store table out constantly; at 20k instructions every window
+// wraps its ring at least once. Workloads run as parallel subtests,
+// hashed in workload order afterwards.
+func TestSteeringPinned(t *testing.T) {
+	all := workloads.All()
+	lines := make([][]string, len(all))
+	t.Run("workloads", func(t *testing.T) {
+		for wi, w := range all {
+			wi, w := wi, w
+			t.Run(w.Name, func(t *testing.T) {
+				t.Parallel()
+				tr := w.Trace(20_000)
+				for _, policy := range []string{"affinity", "roundrobin", "chunk64"} {
+					for _, window := range []int{8, 64, 512, 4096} {
+						for _, repl := range []bool{false, true} {
+							cfg := steerCfg()
+							cfg.Steering, cfg.Window, cfg.Replication = policy, window, repl
+							h := uint64(14695981039346656037) // FNV-1a over 64-bit words
+							mix := func(x uint64) {
+								h ^= x
+								h *= 1099511628211
+							}
+							s := steerWalk(cfg, tr, func(g uint64, inf steerInfo) {
+								flags := uint64(inf.home)
+								if inf.replica {
+									flags |= 2
+								}
+								for i, d := range inf.deps {
+									if d.Remote {
+										flags |= 4 << i
+									}
+									mix(d.Producer)
+								}
+								mix(flags)
+							})
+							lines[wi] = append(lines[wi], fmt.Sprintf(
+								"%s %s w%d repl=%v %016x steered=%v replicated=%d remote=%d local=%d\n",
+								w.Name, policy, window, repl, h, s.Steered, s.Replicated, s.RemoteDeps, s.LocalDeps))
+						}
+					}
+				}
+			})
+		}
+	})
+	sum := sha256.New()
+	for _, ls := range lines {
+		for _, l := range ls {
+			sum.Write([]byte(l))
+		}
+	}
+	if got := hex.EncodeToString(sum.Sum(nil)); got != steeringDigest {
+		t.Errorf("steering digest %s, want %s", got, steeringDigest)
 	}
 }

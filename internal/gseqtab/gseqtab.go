@@ -27,6 +27,12 @@ type Table[V any] struct {
 	// spill holds entries whose ring slot is occupied by a different
 	// live key. nil until first needed.
 	spill map[uint64]V
+	// cut is the last DeleteBelow bound: no key below it is live except
+	// those put since, which below lists (possibly with keys deleted or
+	// listed twice since; deleting those again is harmless). The next
+	// DeleteBelow sweeps from cut up, plus below, not the whole ring.
+	cut   uint64
+	below []uint64
 }
 
 // New builds a table whose ring covers at least window concurrent keys
@@ -59,6 +65,9 @@ func (t *Table[V]) Get(g uint64) (V, bool) {
 
 // Put stores v for g, replacing any existing entry.
 func (t *Table[V]) Put(g uint64, v V) {
+	if g < t.cut {
+		t.below = append(t.below, g)
+	}
 	i := g & t.mask
 	switch t.key[i] {
 	case g + 1, 0:
@@ -124,20 +133,25 @@ func (t *Table[V]) DeleteRange(lo, hi uint64) {
 
 // DeleteBelow removes every entry with gseq < cut — the prune sweep
 // for tables that accumulate stale dead keys (never read again, but
-// occupying slots a window-aliased future key will need).
+// occupying slots a window-aliased future key will need). Cost is the
+// ring slots of keys between the previous cut and this one (and their
+// spill scan, empty in the steady state), plus the keys put below the
+// previous cut since.
 func (t *Table[V]) DeleteBelow(cut uint64) {
-	var zero V
-	for i := range t.key {
-		if k := t.key[i]; k != 0 && k-1 < cut {
-			t.key[i] = 0
-			t.val[i] = zero
-		}
+	if cut > t.cut {
+		t.DeleteRange(t.cut, cut)
+		t.cut = cut
 	}
-	for g := range t.spill {
+	n := 0
+	for _, g := range t.below {
 		if g < cut {
-			delete(t.spill, g)
+			t.Delete(g)
+		} else {
+			t.below[n] = g
+			n++
 		}
 	}
+	t.below = t.below[:n]
 }
 
 func (t *Table[V]) clearRing() {

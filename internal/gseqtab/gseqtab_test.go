@@ -57,7 +57,9 @@ func TestAliasedKeysSpill(t *testing.T) {
 // Differential fuzz against a plain map: random interleavings of
 // Put/Get/Delete/DeleteRange/DeleteBelow over a sliding key window (the
 // engine's access pattern) plus deliberate far-out-of-window keys (the
-// spill path) always agree with map semantics.
+// spill path) and keys below an earlier DeleteBelow cut (the engine's
+// committed-state path re-puts long-pruned producers) always agree
+// with map semantics.
 func TestMatchesMapReference(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -66,8 +68,13 @@ func TestMatchesMapReference(t *testing.T) {
 		base := uint64(0) // sliding window start
 
 		randKey := func() uint64 {
-			if rng.Intn(10) == 0 {
+			switch rng.Intn(10) {
+			case 0:
 				return base + uint64(rng.Intn(1024)) // out-of-window
+			case 1:
+				if base > 0 {
+					return uint64(rng.Int63n(int64(base))) // below a cut
+				}
 			}
 			return base + uint64(rng.Intn(80))
 		}

@@ -2,6 +2,10 @@
 # Tier-1 gate: everything a change must pass before it lands.
 #   go vet          static checks
 #   go build        whole-tree compile (commands and examples included)
+#   tracetool       examples/tracetool reading 5,000 steering decisions
+#                   in order: SteerDecision's only caller, run past the
+#                   2,048-entry medium steering ring so its reads wrap
+#                   it (reading an overwritten decision panics)
 #   bench vet       go vet of the bench/ module (its own go.mod, so
 #                   ./... above does not reach it), plain and with the
 #                   traced run's build tag: an internal API change that
@@ -48,6 +52,9 @@ go vet ./...
 
 echo "== go build ./..."
 go build ./...
+
+echo "== tracetool (steering decisions past the ring)"
+go run ./examples/tracetool -workload gcc -insts 20000 -steer 5000 >/dev/null
 
 echo "== go vet bench/ (plain and -tags fgstpperf_trace)"
 go -C bench vet ./...
