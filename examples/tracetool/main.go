@@ -92,15 +92,15 @@ func main() {
 	fmt.Printf("\nsteering of the first %d instructions (core 0 | core 1):\n", *steerN)
 	for i := 0; i < *steerN && i < tr.Len(); i++ {
 		home, replica := core.SteerDecision(m, uint64(i))
-		d := tr.At(i)
+		inst := fmt.Sprintf("#%d %s", i, tr.At(i))
 		tag := ""
 		if replica {
 			tag = " [replicated]"
 		}
 		if home == 0 {
-			fmt.Printf("  %-34s |%s\n", d.String(), tag)
+			fmt.Printf("  %-34s |%s\n", inst, tag)
 		} else {
-			fmt.Printf("  %34s | %s%s\n", "", d.String(), tag)
+			fmt.Printf("  %34s | %s%s\n", "", inst, tag)
 		}
 	}
 }

@@ -214,15 +214,15 @@ func (w *Warmer) AdvanceTo(n int) error {
 func (w *Warmer) observeControl(d *isa.DynInst) {
 	switch d.Class {
 	case isa.ClassBranch:
-		w.pred.ObserveBranch(d.PC, d.Taken)
+		w.pred.ObserveBranch(d.PC, d.Taken())
 	case isa.ClassJump:
 		switch {
-		case d.IsRet:
+		case d.IsRet():
 			w.pred.ObserveReturn(d.Target)
-		case d.Indirect:
+		case d.Indirect():
 			w.pred.ObserveIndirect(d.PC, d.Target)
 		}
-		if d.IsCall {
+		if d.IsCall() {
 			w.pred.ObserveCall(d.PC + isa.InstBytes)
 		}
 	}

@@ -71,8 +71,18 @@ func TestFuzzAllModesCommit(t *testing.T) {
 		if tr.Len() == 0 {
 			t.Fatalf("seed %d: empty trace", seed)
 		}
-		if err := tr.Validate(); err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
+		// The stream's control flow is self-consistent: each next-PC,
+		// the following record's PC, is the recorded target when taken
+		// and the fall-through otherwise.
+		for i := 0; i+1 < tr.Len(); i++ {
+			d := tr.At(i)
+			want := d.PC + isa.InstBytes
+			if d.Taken() {
+				want = d.Target
+			}
+			if got := tr.At(i + 1).PC; got != want {
+				t.Fatalf("seed %d: inst %d (%s) followed by pc %#x, want %#x", seed, i, d, got, want)
+			}
 		}
 		for _, m := range machines {
 			for _, mode := range Modes() {

@@ -54,8 +54,8 @@ func pruneWakeTrace() (*trace.Trace, uint64) {
 	tr := trace.Capture(b.MustBuild(), 0)
 	var read uint64
 	for i := 0; i < tr.Len(); i++ {
-		if d := tr.At(i); d.Dst == isa.R6 {
-			read = d.Seq
+		if tr.At(i).Dst == isa.R6 {
+			read = uint64(i)
 		}
 	}
 	return tr, read

@@ -210,7 +210,7 @@ func (s *sequencer) fill(now int64, nextCommit uint64) {
 		// the branch resolves on its core.
 		stop := false
 		if d.IsCtrl() {
-			stop = s.observeControl(d)
+			stop = s.observeControl(d, s.pos)
 		}
 
 		item := ooo.FetchItem{DI: d, GSeq: s.pos, Deps: &inf.deps}
@@ -232,34 +232,34 @@ func (s *sequencer) fill(now int64, nextCommit uint64) {
 	}
 }
 
-// observeControl runs the shared predictor on a control instruction and
-// reports whether delivery must stop this cycle (mispredict block or
-// taken-flow fetch break).
-func (s *sequencer) observeControl(d *isa.DynInst) bool {
+// observeControl runs the shared predictor on control instruction
+// gseq and reports whether delivery must stop this cycle (mispredict
+// block or taken-flow fetch break).
+func (s *sequencer) observeControl(d *isa.DynInst, gseq uint64) bool {
 	switch d.Class {
 	case isa.ClassBranch:
-		if !s.pred.ObserveBranch(d.PC, d.Taken) {
+		if !s.pred.ObserveBranch(d.PC, d.Taken()) {
 			s.Mispredicts++
 			s.blocked = true
-			s.blockedOn = d.Seq
+			s.blockedOn = gseq
 			return true
 		}
-		return d.Taken
+		return d.Taken()
 	case isa.ClassJump:
 		correct := true
 		switch {
-		case d.IsRet:
+		case d.IsRet():
 			correct = s.pred.ObserveReturn(d.Target)
-		case d.Indirect:
+		case d.Indirect():
 			correct = s.pred.ObserveIndirect(d.PC, d.Target)
 		}
-		if d.IsCall {
+		if d.IsCall() {
 			s.pred.ObserveCall(d.PC + isa.InstBytes)
 		}
 		if !correct {
 			s.IndirectMiss++
 			s.blocked = true
-			s.blockedOn = d.Seq
+			s.blockedOn = gseq
 			return true
 		}
 		return true

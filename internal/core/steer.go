@@ -160,12 +160,12 @@ func (s *steerer) steerNext() {
 	srcs := d.Sources(buf[:0])
 
 	var inf steerInfo
-	inf.home = s.pickHome(d, srcs)
+	inf.home = s.pickHome(gseq, d, srcs)
 
 	// Replication: cheap register-producing ops whose inputs are
 	// already on both cores execute on both, making their result
 	// local everywhere. Memory and control operations never replicate.
-	if s.cfg.Replication && s.replCount < s.replCap && s.replicable(d, srcs) {
+	if s.cfg.Replication && s.replCount < s.replCap && s.replicable(gseq, d, srcs) {
 		inf.replica = true
 		s.Replicated++
 	}
@@ -207,14 +207,14 @@ func (s *steerer) steerNext() {
 	s.next++
 }
 
-// pickHome chooses the executing core for d under the configured
-// steering policy.
-func (s *steerer) pickHome(d *isa.DynInst, srcs []isa.Reg) uint8 {
+// pickHome chooses the executing core for instruction gseq, d, under
+// the configured steering policy.
+func (s *steerer) pickHome(gseq uint64, d *isa.DynInst, srcs []isa.Reg) uint8 {
 	switch s.cfg.Steering {
 	case "roundrobin":
-		return uint8(d.Seq & 1)
+		return uint8(gseq & 1)
 	case "chunk64":
-		return uint8((d.Seq / 64) & 1)
+		return uint8((gseq / 64) & 1)
 	}
 	// Affinity (dependence-based fine-grain steering): estimate when
 	// the instruction could start on each core — the later of the
@@ -416,7 +416,7 @@ const replicaHorizon = 64
 // cheaper to handle by steering the consumer to the producer's core
 // (affinity); multi-consumer values — loop counters, base addresses —
 // are the ones worth materialising everywhere.
-func (s *steerer) replicable(d *isa.DynInst, srcs []isa.Reg) bool {
+func (s *steerer) replicable(gseq uint64, d *isa.DynInst, srcs []isa.Reg) bool {
 	switch d.Class {
 	case isa.ClassIntAlu, isa.ClassIntMul, isa.ClassFPAlu, isa.ClassFPMul:
 	default:
@@ -440,19 +440,20 @@ func (s *steerer) replicable(d *isa.DynInst, srcs []isa.Reg) bool {
 			return true
 		}
 	}
-	return s.consumersAhead(d) >= 2
+	return s.consumersAhead(gseq, d) >= 2
 }
 
-// consumersAhead counts reads of d's destination in the next
-// replicaHorizon dynamic instructions, stopping at redefinition.
-func (s *steerer) consumersAhead(d *isa.DynInst) int {
+// consumersAhead counts reads of the destination of instruction gseq,
+// d, in the next replicaHorizon dynamic instructions, stopping at
+// redefinition.
+func (s *steerer) consumersAhead(gseq uint64, d *isa.DynInst) int {
 	count := 0
-	end := int(d.Seq) + 1 + replicaHorizon
+	end := int(gseq) + 1 + replicaHorizon
 	if end > s.tr.Len() {
 		end = s.tr.Len()
 	}
 	var buf [3]isa.Reg
-	for i := int(d.Seq) + 1; i < end; i++ {
+	for i := int(gseq) + 1; i < end; i++ {
 		n := s.tr.At(i)
 		for _, r := range n.Sources(buf[:0]) {
 			if r == d.Dst {

@@ -3,6 +3,7 @@ package isa
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestRegString(t *testing.T) {
@@ -173,13 +174,33 @@ func TestDynInstString(t *testing.T) {
 	variants := []DynInst{
 		{Class: ClassLoad, Dst: R1, Addr: 0x100},
 		{Class: ClassStore, Src3: R2, Addr: 0x200},
-		{Class: ClassBranch, Taken: true, Target: 0x40},
+		{Class: ClassBranch, Flags: FlagTaken, Target: 0x40},
 		{Class: ClassJump, Target: 0x80},
 		{Class: ClassIntAlu, Dst: R3, Src1: R1, Src2: R2},
 	}
 	for _, d := range variants {
 		if d.String() == "" {
 			t.Errorf("empty String for class %s", d.Class)
+		}
+	}
+}
+
+// Every captured trace holds one DynInst per dynamic instruction, so
+// the record's size is the simulator's memory footprint per traced
+// instruction.
+func TestDynInstSize(t *testing.T) {
+	if got := unsafe.Sizeof(DynInst{}); got != 32 {
+		t.Errorf("DynInst is %d bytes, want 32", got)
+	}
+}
+
+func TestDynInstFlags(t *testing.T) {
+	for f := Flags(0); f <= FlagsMask; f++ {
+		d := DynInst{Flags: f}
+		got := [4]bool{d.Taken(), d.Indirect(), d.IsCall(), d.IsRet()}
+		want := [4]bool{f&1 != 0, f&2 != 0, f&4 != 0, f&8 != 0}
+		if got != want {
+			t.Errorf("flags %#x: Taken/Indirect/IsCall/IsRet = %v, want %v", f, got, want)
 		}
 	}
 }

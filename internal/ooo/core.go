@@ -545,24 +545,24 @@ func (c *Core) observeControl(u *UOp) bool {
 	d := u.DI()
 	switch d.Class {
 	case isa.ClassBranch:
-		if !c.pred.ObserveBranch(d.PC, d.Taken) {
+		if !c.pred.ObserveBranch(d.PC, d.Taken()) {
 			c.rpt.BranchMispredicts++
 			u.mispredicted = true
 			c.blockOnBranch(u)
 			return true
 		}
-		return d.Taken // taken-branch fetch break
+		return d.Taken() // taken-branch fetch break
 	case isa.ClassJump:
 		correct := true
 		switch {
-		case d.IsRet:
+		case d.IsRet():
 			correct = c.pred.ObserveReturn(d.Target)
-		case d.Indirect:
+		case d.Indirect():
 			correct = c.pred.ObserveIndirect(d.PC, d.Target)
 		}
-		if d.IsCall {
-			// The return address is the fall-through PC; NextPC of a
-			// call is its (taken) target.
+		if d.IsCall() {
+			// The return address is the fall-through PC; the
+			// call's next-PC is its (taken) target.
 			c.pred.ObserveCall(d.PC + isa.InstBytes)
 		}
 		if !correct {

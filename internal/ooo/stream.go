@@ -71,8 +71,7 @@ func (s *TraceStream) Peek(now int64) (FetchItem, bool) {
 	if s.pos >= s.tr.Len() {
 		return FetchItem{}, false
 	}
-	d := s.tr.At(s.pos)
-	return FetchItem{DI: d, GSeq: d.Seq}, true
+	return FetchItem{DI: s.tr.At(s.pos), GSeq: uint64(s.pos)}, true
 }
 
 // Advance implements Stream.

@@ -86,8 +86,13 @@ func (e *Executor) Mem() *Memory { return e.mem }
 // Halted reports whether the program has executed Halt.
 func (e *Executor) Halted() bool { return e.halted }
 
-// Executed returns the number of dynamic instructions emitted so far.
+// Executed returns the number of dynamic instructions emitted so far:
+// the sequence number of the next one.
 func (e *Executor) Executed() uint64 { return e.seq }
+
+// PC returns the address of the next instruction to execute: the
+// next-PC of the last one executed.
+func (e *Executor) PC() uint64 { return PC(e.pc) }
 
 func (e *Executor) setReg(r isa.Reg, v uint64) {
 	if r != isa.R0 && r.Valid() {
@@ -113,7 +118,6 @@ func (e *Executor) Step() (d isa.DynInst, ok bool) {
 	}
 
 	d = isa.DynInst{
-		Seq:   e.seq,
 		PC:    PC(e.pc),
 		Class: in.Op.Class(),
 		Dst:   isa.RegNone,
@@ -193,19 +197,18 @@ func (e *Executor) Step() (d isa.DynInst, ok bool) {
 	case Beq, Bne, Blt, Bge:
 		d.Src1, d.Src2 = in.Rs, in.Rt
 		d.Target = PC(int(in.Imm))
-		d.Taken = branchTaken(in.Op, rs, rt)
-		if d.Taken {
+		if branchTaken(in.Op, rs, rt) {
+			d.Flags = isa.FlagTaken
 			next = int(in.Imm)
 		}
 
 	case J:
-		d.Taken, d.Target = true, PC(int(in.Imm))
+		d.Flags, d.Target = isa.FlagTaken, PC(int(in.Imm))
 		next = int(in.Imm)
 
 	case Jr:
 		d.Src1 = in.Rs
-		d.Indirect = true
-		d.Taken, d.Target = true, rs
+		d.Flags, d.Target = isa.FlagTaken|isa.FlagIndirect, rs
 		idx := Index(rs)
 		if idx < 0 || idx >= len(e.prog.Code) {
 			panic(fmt.Sprintf("program %q: jr to non-code address %#x", e.prog.Name, rs))
@@ -214,16 +217,14 @@ func (e *Executor) Step() (d isa.DynInst, ok bool) {
 
 	case Call:
 		d.Dst = isa.RA
-		d.IsCall = true
-		d.Taken, d.Target = true, PC(int(in.Imm))
+		d.Flags, d.Target = isa.FlagTaken|isa.FlagCall, PC(int(in.Imm))
 		e.setReg(isa.RA, PC(e.pc+1))
 		next = int(in.Imm)
 
 	case Ret:
 		d.Src1 = isa.RA
-		d.Indirect, d.IsRet = true, true
 		ra := e.regs[isa.RA]
-		d.Taken, d.Target = true, ra
+		d.Flags, d.Target = isa.FlagTaken|isa.FlagIndirect|isa.FlagRet, ra
 		idx := Index(ra)
 		if idx < 0 || idx >= len(e.prog.Code) {
 			panic(fmt.Sprintf("program %q: ret to non-code address %#x", e.prog.Name, ra))
@@ -231,7 +232,6 @@ func (e *Executor) Step() (d isa.DynInst, ok bool) {
 		next = idx
 	}
 
-	d.NextPC = PC(next)
 	e.pc = next
 	e.seq++
 	return d, true

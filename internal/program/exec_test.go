@@ -116,7 +116,7 @@ func TestExecLoop(t *testing.T) {
 	taken, notTaken := 0, 0
 	for _, d := range tr {
 		if d.Class == isa.ClassBranch {
-			if d.Taken {
+			if d.Taken() {
 				taken++
 			} else {
 				notTaken++
@@ -263,20 +263,18 @@ func TestExecTraceSequencing(t *testing.T) {
 		b.Addi(isa.R1, isa.R1, 1)
 	}
 	b.Halt()
-	_, tr := runToHalt(t, b.MustBuild(), 100)
+	e, tr := runToHalt(t, b.MustBuild(), 100)
 	if len(tr) != 5 {
 		t.Fatalf("trace length %d, want 5", len(tr))
 	}
 	for i, d := range tr {
-		if d.Seq != uint64(i) {
-			t.Errorf("inst %d has seq %d", i, d.Seq)
-		}
 		if d.PC != PC(i) {
 			t.Errorf("inst %d has pc %#x, want %#x", i, d.PC, PC(i))
 		}
-		if d.NextPC != PC(i+1) {
-			t.Errorf("inst %d has nextpc %#x, want %#x", i, d.NextPC, PC(i+1))
-		}
+	}
+	// The last instruction's next-PC is the halt's address.
+	if e.Executed() != 5 || e.PC() != PC(5) {
+		t.Errorf("executor at seq %d pc %#x, want 5 and %#x", e.Executed(), e.PC(), PC(5))
 	}
 }
 
@@ -377,7 +375,7 @@ func TestRunNoAllocsPerInst(t *testing.T) {
 			t.Errorf("%s: %.0f allocations per %d-instruction run, want at most 1", tc.name, allocs, insts)
 		}
 	}
-	if last.Seq == 0 {
+	if last == (isa.DynInst{}) {
 		t.Error("copying sink saw no instructions")
 	}
 }

@@ -23,65 +23,46 @@ const (
 	traceVersion = 1
 )
 
-// instRecord is the on-disk shape of one isa.DynInst. Seq is implicit
-// (records are dense in program order).
-type instRecord struct {
-	PC     uint64
-	Addr   uint64
-	Target uint64
-	NextPC uint64
-	Class  uint8
-	Dst    uint8
-	Src1   uint8
-	Src2   uint8
-	Src3   uint8
-	Flags  uint8 // bit0 taken, bit1 indirect, bit2 call, bit3 ret
-	_      uint16
-}
-
-func packFlags(d *isa.DynInst) uint8 {
-	var f uint8
-	if d.Taken {
-		f |= 1
-	}
-	if d.Indirect {
-		f |= 2
-	}
-	if d.IsCall {
-		f |= 4
-	}
-	if d.IsRet {
-		f |= 8
-	}
-	return f
-}
+// On-disk layout, all little-endian. The header is magic, version and
+// name length (uint32 each), then the record count (uint64), then the
+// name's bytes. Each record is 40 bytes: PC, Addr, Target and NextPC
+// (uint64 each), then Class, Dst, Src1, Src2, Src3 and the isa.Flags
+// byte, then two zero padding bytes. Seq is implicit (records are
+// dense in program order). NextPC repeats the next record's PC, which
+// Load checks; only the last record's carries information.
+const (
+	headerBytes = 20
+	recordBytes = 40
+)
 
 // Save writes the trace to w in the binary format.
 func (t *Trace) Save(w io.Writer) error {
 	zw := gzip.NewWriter(w)
 	bw := bufio.NewWriter(zw)
 
-	hdr := []interface{}{
-		uint32(traceMagic), uint32(traceVersion),
-		uint32(len(t.Name)), uint64(len(t.Insts)),
-	}
-	for _, v := range hdr {
-		if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
-			return err
-		}
+	var hdr [headerBytes]byte
+	le := binary.LittleEndian
+	le.PutUint32(hdr[0:], traceMagic)
+	le.PutUint32(hdr[4:], traceVersion)
+	le.PutUint32(hdr[8:], uint32(len(t.Name)))
+	le.PutUint64(hdr[12:], uint64(len(t.Insts)))
+	if _, err := bw.Write(hdr[:]); err != nil {
+		return err
 	}
 	if _, err := bw.WriteString(t.Name); err != nil {
 		return err
 	}
+	var rec [recordBytes]byte
 	for i := range t.Insts {
 		d := &t.Insts[i]
-		rec := instRecord{
-			PC: d.PC, Addr: d.Addr, Target: d.Target, NextPC: d.NextPC,
-			Class: uint8(d.Class), Dst: uint8(d.Dst),
-			Src1: uint8(d.Src1), Src2: uint8(d.Src2), Src3: uint8(d.Src3),
-			Flags: packFlags(d),
-		}
-		if err := binary.Write(bw, binary.LittleEndian, &rec); err != nil {
+		le.PutUint64(rec[0:], d.PC)
+		le.PutUint64(rec[8:], d.Addr)
+		le.PutUint64(rec[16:], d.Target)
+		le.PutUint64(rec[24:], t.nextPC(i))
+		rec[32], rec[33] = uint8(d.Class), uint8(d.Dst)
+		rec[34], rec[35], rec[36] = uint8(d.Src1), uint8(d.Src2), uint8(d.Src3)
+		rec[37] = uint8(d.Flags)
+		if _, err := bw.Write(rec[:]); err != nil {
 			return err
 		}
 	}
@@ -91,7 +72,8 @@ func (t *Trace) Save(w io.Writer) error {
 	return zw.Close()
 }
 
-// Load reads a trace written by Save.
+// Load reads a trace written by Save. It rejects a file whose records
+// do not chain: each record's NextPC must be the next record's PC.
 func Load(r io.Reader) (*Trace, error) {
 	zr, err := gzip.NewReader(r)
 	if err != nil {
@@ -100,13 +82,13 @@ func Load(r io.Reader) (*Trace, error) {
 	defer zr.Close()
 	br := bufio.NewReader(zr)
 
-	var magic, version, nameLen uint32
-	var count uint64
-	for _, v := range []interface{}{&magic, &version, &nameLen, &count} {
-		if err := binary.Read(br, binary.LittleEndian, v); err != nil {
-			return nil, fmt.Errorf("trace: short header: %w", err)
-		}
+	var hdr [headerBytes]byte
+	if _, err := io.ReadFull(br, hdr[:]); err != nil {
+		return nil, fmt.Errorf("trace: short header: %w", err)
 	}
+	le := binary.LittleEndian
+	magic, version, nameLen := le.Uint32(hdr[0:]), le.Uint32(hdr[4:]), le.Uint32(hdr[8:])
+	count := le.Uint64(hdr[12:])
 	if magic != traceMagic {
 		return nil, fmt.Errorf("trace: bad magic %#x", magic)
 	}
@@ -133,33 +115,33 @@ func Load(r io.Reader) (*Trace, error) {
 		prealloc = maxPrealloc
 	}
 	t := &Trace{Name: string(name), Insts: make([]isa.DynInst, 0, prealloc)}
-	var rec instRecord
+	var rec [recordBytes]byte
 	for i := uint64(0); i < count; i++ {
-		if err := binary.Read(br, binary.LittleEndian, &rec); err != nil {
+		if _, err := io.ReadFull(br, rec[:]); err != nil {
 			return nil, fmt.Errorf("trace: truncated at record %d: %w", i, err)
 		}
 		d := isa.DynInst{
-			Seq: i, PC: rec.PC, Addr: rec.Addr, Target: rec.Target,
-			NextPC: rec.NextPC, Class: isa.Class(rec.Class),
-			Dst: isa.Reg(rec.Dst), Src1: isa.Reg(rec.Src1),
-			Src2: isa.Reg(rec.Src2), Src3: isa.Reg(rec.Src3),
-			Taken: rec.Flags&1 != 0, Indirect: rec.Flags&2 != 0,
-			IsCall: rec.Flags&4 != 0, IsRet: rec.Flags&8 != 0,
+			PC: le.Uint64(rec[0:]), Addr: le.Uint64(rec[8:]), Target: le.Uint64(rec[16:]),
+			Class: isa.Class(rec[32]), Dst: isa.Reg(rec[33]),
+			Src1: isa.Reg(rec[34]), Src2: isa.Reg(rec[35]), Src3: isa.Reg(rec[36]),
+			Flags: isa.Flags(rec[37]) & isa.FlagsMask,
 		}
 		// The timing models index latency and scoreboard tables by
 		// Class and Reg; out-of-range values must die here, not there.
 		if int(d.Class) >= isa.NumClasses {
-			return nil, fmt.Errorf("trace: record %d: invalid class %d", i, rec.Class)
+			return nil, fmt.Errorf("trace: record %d: invalid class %d", i, rec[32])
 		}
 		for _, r := range [...]isa.Reg{d.Dst, d.Src1, d.Src2, d.Src3} {
 			if !r.Valid() && r != isa.RegNone {
 				return nil, fmt.Errorf("trace: record %d: invalid register %d", i, uint8(r))
 			}
 		}
+		if i > 0 && t.endPC != d.PC {
+			return nil, fmt.Errorf("trace %q: inst %d nextpc %#x but successor pc %#x",
+				t.Name, i-1, t.endPC, d.PC)
+		}
+		t.endPC = le.Uint64(rec[24:])
 		t.Insts = append(t.Insts, d)
-	}
-	if err := t.Validate(); err != nil {
-		return nil, err
 	}
 	return t, nil
 }

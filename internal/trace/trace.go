@@ -5,20 +5,23 @@
 package trace
 
 import (
-	"fmt"
-
 	"repro/internal/isa"
 	"repro/internal/program"
 )
 
 // Trace is a captured dynamic instruction stream. Instruction i has
-// Seq == i; squash/refetch in the timing models is re-reading from an
-// earlier index.
+// sequence number i; squash/refetch in the timing models is re-reading
+// from an earlier index. Instruction i's next-PC is instruction i+1's
+// PC, so the trace keeps only the last instruction's.
 type Trace struct {
 	// Name identifies the workload the trace came from.
 	Name string
-	// Insts is the dynamic stream in program order.
+	// Insts is the dynamic stream in program order. It may share its
+	// storage with other traces (see Slice): never write to it.
 	Insts []isa.DynInst
+	// endPC is the next-PC of the last instruction: where execution
+	// went after the captured stream ended.
+	endPC uint64
 }
 
 // Capture runs p functionally for at most max dynamic instructions
@@ -29,23 +32,40 @@ func Capture(p *program.Program, max uint64) *Trace {
 
 // CaptureRegion runs p functionally, discards the first skip dynamic
 // instructions (a kernel's initialisation phase), then captures at most
-// max instructions (0 = to completion). Captured sequence numbers are
-// rebased to zero so timing models see a dense trace.
+// max instructions (0 = to completion). Captured sequence numbers
+// start at zero so timing models see a dense trace.
 func CaptureRegion(p *program.Program, skip, max uint64) *Trace {
-	t := &Trace{Name: p.Name}
-	if max > 0 {
-		t.Insts = make([]isa.DynInst, 0, max)
-	}
 	e := program.NewExecutor(p)
 	if skip > 0 {
 		e.Run(skip, nil)
 	}
+	return capture(p.Name, e, max)
+}
+
+// CaptureFromLabel runs p until execution first reaches the named
+// label, then captures at most max instructions (0 = to completion).
+// It falls back to capturing from the start when the label is absent.
+// Sequence numbers start at zero.
+func CaptureFromLabel(p *program.Program, label string, max uint64) *Trace {
+	e := program.NewExecutor(p)
+	if idx, ok := p.Labels[label]; ok {
+		e.RunUntil(idx)
+	}
+	return capture(p.Name, e, max)
+}
+
+// capture records at most max instructions (0 = to completion) from
+// e's current position, then the next-PC of the last one.
+func capture(name string, e *program.Executor, max uint64) *Trace {
+	t := &Trace{Name: name}
+	if max > 0 {
+		t.Insts = make([]isa.DynInst, 0, max)
+	}
 	e.Run(max, func(d *isa.DynInst) bool {
-		c := *d
-		c.Seq -= skip
-		t.Insts = append(t.Insts, c)
+		t.Insts = append(t.Insts, *d)
 		return true
 	})
+	t.endPC = e.PC()
 	return t
 }
 
@@ -56,20 +76,14 @@ func (t *Trace) Len() int { return len(t.Insts) }
 // aliases the trace's storage and must be treated as read-only.
 func (t *Trace) At(i int) *isa.DynInst { return &t.Insts[i] }
 
-// Validate checks trace invariants: Seq numbers are dense from zero and
-// NextPC chains match the following instruction's PC.
-func (t *Trace) Validate() error {
-	for i := range t.Insts {
-		d := &t.Insts[i]
-		if d.Seq != uint64(i) {
-			return fmt.Errorf("trace %q: inst %d has seq %d", t.Name, i, d.Seq)
-		}
-		if i+1 < len(t.Insts) && d.NextPC != t.Insts[i+1].PC {
-			return fmt.Errorf("trace %q: inst %d nextpc %#x but successor pc %#x",
-				t.Name, i, d.NextPC, t.Insts[i+1].PC)
-		}
+// nextPC returns the address of the dynamic instruction that follows
+// instruction i: instruction i+1's PC, or for the last instruction the
+// next-PC recorded at capture.
+func (t *Trace) nextPC(i int) uint64 {
+	if i+1 < len(t.Insts) {
+		return t.Insts[i+1].PC
 	}
-	return nil
+	return t.endPC
 }
 
 // Stats summarises the dynamic character of a trace: operation mix,
@@ -109,13 +123,13 @@ func (t *Trace) ComputeStats() Stats {
 	var srcBuf [3]isa.Reg
 
 	for i := range t.Insts {
-		d := &t.Insts[i]
+		d, seq := &t.Insts[i], uint64(i)
 		s.ByClass[d.Class]++
 		pcs[d.PC] = struct{}{}
 		switch d.Class {
 		case isa.ClassBranch:
 			s.Branches++
-			if d.Taken {
+			if d.Taken() {
 				s.Taken++
 			}
 		case isa.ClassLoad:
@@ -131,7 +145,7 @@ func (t *Trace) ComputeStats() Stats {
 		}
 		for _, r := range d.Sources(srcBuf[:0]) {
 			if w, ok := lastWriter[r]; ok {
-				dist := d.Seq - w
+				dist := seq - w
 				s.TotalDeps++
 				if dist <= 8 {
 					s.ShortDeps++
@@ -140,7 +154,7 @@ func (t *Trace) ComputeStats() Stats {
 			}
 		}
 		if d.HasDst() {
-			lastWriter[d.Dst] = d.Seq
+			lastWriter[d.Dst] = seq
 		}
 	}
 	s.StaticPCs = len(pcs)
@@ -190,33 +204,11 @@ func (s *Stats) ShortDepRatio() float64 {
 	return float64(s.ShortDeps) / float64(s.TotalDeps)
 }
 
-// CaptureFromLabel runs p until execution first reaches the named
-// label, then captures at most max instructions (0 = to completion).
-// It falls back to capturing from the start when the label is absent.
-// Sequence numbers are rebased to zero.
-func CaptureFromLabel(p *program.Program, label string, max uint64) *Trace {
-	idx, ok := p.Labels[label]
-	if !ok {
-		return CaptureRegion(p, 0, max)
-	}
-	t := &Trace{Name: p.Name}
-	if max > 0 {
-		t.Insts = make([]isa.DynInst, 0, max)
-	}
-	e := program.NewExecutor(p)
-	skip := e.RunUntil(idx)
-	e.Run(max, func(d *isa.DynInst) bool {
-		c := *d
-		c.Seq -= skip
-		t.Insts = append(t.Insts, c)
-		return true
-	})
-	return t
-}
-
-// Slice returns the sub-trace [start, end) with sequence numbers
-// rebased to zero — the unit of phase-granularity studies (adaptive
-// reconfiguration runs each phase on the better machine mode).
+// Slice returns the sub-trace [start, end) — the unit of
+// phase-granularity studies (adaptive reconfiguration runs each phase
+// on the better machine mode) and of SimPoint slices. The result is a
+// view: its records are the parent's, renumbered from zero by
+// position, and slicing allocates only the Trace header.
 func (t *Trace) Slice(start, end int) *Trace {
 	if start < 0 {
 		start = 0
@@ -227,10 +219,7 @@ func (t *Trace) Slice(start, end int) *Trace {
 	if start >= end {
 		return &Trace{Name: t.Name}
 	}
-	out := &Trace{Name: t.Name, Insts: make([]isa.DynInst, end-start)}
-	copy(out.Insts, t.Insts[start:end])
-	for i := range out.Insts {
-		out.Insts[i].Seq = uint64(i)
-	}
-	return out
+	// The capacity limit keeps an append to the view from writing into
+	// the parent's records.
+	return &Trace{Name: t.Name, Insts: t.Insts[start:end:end], endPC: t.nextPC(end - 1)}
 }

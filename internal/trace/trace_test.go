@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/isa"
@@ -21,24 +22,50 @@ func sampleProgram() *program.Program {
 		halt`)
 }
 
+// checkFlow requires every derived next-PC to agree with the recorded
+// control outcome: the branch or jump target when taken, else the
+// fall-through address.
+func checkFlow(t *testing.T, tr *Trace) {
+	t.Helper()
+	for i := range tr.Insts {
+		d := tr.At(i)
+		want := d.PC + isa.InstBytes
+		if d.Taken() {
+			want = d.Target
+		}
+		if got := tr.nextPC(i); got != want {
+			t.Fatalf("inst %d (%s): next pc %#x, want %#x", i, d, got, want)
+		}
+	}
+}
+
 func TestCapture(t *testing.T) {
-	tr := Capture(sampleProgram(), 0)
+	p := sampleProgram()
+	tr := Capture(p, 0)
 	if tr.Len() == 0 {
 		t.Fatal("empty trace")
 	}
-	if err := tr.Validate(); err != nil {
-		t.Fatalf("Validate: %v", err)
-	}
+	checkFlow(t, tr)
 	// 2 setup + 10 iterations of 6 instructions.
 	if want := 2 + 10*6; tr.Len() != want {
 		t.Errorf("trace length %d, want %d", tr.Len(), want)
 	}
+	// Run to completion, the last next-PC is the halt.
+	if got, want := tr.nextPC(tr.Len()-1), program.PC(len(p.Code)-1); got != want {
+		t.Errorf("final next pc %#x, want the halt at %#x", got, want)
+	}
 }
 
 func TestCaptureCap(t *testing.T) {
+	full := Capture(sampleProgram(), 0)
 	tr := Capture(sampleProgram(), 7)
 	if tr.Len() != 7 {
-		t.Errorf("capped trace length %d, want 7", tr.Len())
+		t.Fatalf("capped trace length %d, want 7", tr.Len())
+	}
+	// The cap cuts the stream, not its control flow: the last next-PC
+	// is where the uncapped run went.
+	if got, want := tr.nextPC(6), full.At(7).PC; got != want {
+		t.Errorf("capped final next pc %#x, want %#x", got, want)
 	}
 }
 
@@ -73,19 +100,6 @@ func TestStatsRatiosEmptyTrace(t *testing.T) {
 	if s.TakenRatio() != 0 || s.BranchRatio() != 0 || s.MemRatio() != 0 ||
 		s.ShortDepRatio() != 0 {
 		t.Error("ratios on empty stats must be zero")
-	}
-}
-
-func TestValidateCatchesCorruption(t *testing.T) {
-	tr := Capture(sampleProgram(), 0)
-	tr.Insts[3].Seq = 99
-	if err := tr.Validate(); err == nil {
-		t.Error("corrupted seq must fail validation")
-	}
-	tr = Capture(sampleProgram(), 0)
-	tr.Insts[0].NextPC = 0xdead
-	if err := tr.Validate(); err == nil {
-		t.Error("broken nextpc chain must fail validation")
 	}
 }
 
@@ -125,16 +139,49 @@ func TestSlice(t *testing.T) {
 	if sub.Len() != 10 {
 		t.Fatalf("slice length %d", sub.Len())
 	}
-	if err := sub.Validate(); err != nil {
-		t.Fatalf("slice invalid: %v", err)
-	}
+	checkFlow(t, sub)
+	// A view: record i of the slice is record 5+i of the parent, the
+	// same memory, not a copy.
 	for i := 0; i < 10; i++ {
-		want := tr.At(5 + i)
-		got := sub.At(i)
-		if got.PC != want.PC || got.Addr != want.Addr || got.Seq != uint64(i) {
-			t.Fatalf("slice record %d mismatch", i)
+		if sub.At(i) != tr.At(5+i) {
+			t.Fatalf("slice record %d does not alias parent record %d", i, 5+i)
 		}
 	}
+	if got, want := sub.nextPC(9), tr.At(15).PC; got != want {
+		t.Errorf("slice final next pc %#x, want the parent's next record's pc %#x", got, want)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { sub = tr.Slice(5, 15) }); allocs != 1 {
+		t.Errorf("Slice made %.0f allocations, want 1 (the Trace header)", allocs)
+	}
+	// An append to the view must not write into the parent.
+	want := *tr.At(15)
+	_ = append(sub.Insts, isa.DynInst{})
+	if *tr.At(15) != want {
+		t.Error("appending to a slice overwrote its parent")
+	}
+
+	// A slice saves and loads like a captured trace: its final next-PC
+	// is the parent's next record's PC.
+	var buf bytes.Buffer
+	if err := sub.Save(&buf); err != nil {
+		t.Fatalf("Save: %v", err)
+	}
+	back, err := Load(&buf)
+	if err != nil {
+		t.Fatalf("Load: %v", err)
+	}
+	if back.Len() != sub.Len() {
+		t.Fatalf("loaded slice has %d records, want %d", back.Len(), sub.Len())
+	}
+	for i := range sub.Insts {
+		if back.Insts[i] != sub.Insts[i] {
+			t.Fatalf("loaded slice record %d differs:\n  %+v\n  %+v", i, back.Insts[i], sub.Insts[i])
+		}
+	}
+	if got, want := back.nextPC(9), tr.At(15).PC; got != want {
+		t.Errorf("loaded slice final next pc %#x, want %#x", got, want)
+	}
+
 	// Bounds clamping.
 	if tr.Slice(-3, 4).Len() != 4 {
 		t.Error("negative start not clamped")
@@ -142,12 +189,11 @@ func TestSlice(t *testing.T) {
 	if tr.Slice(0, 1<<30).Len() != tr.Len() {
 		t.Error("oversized end not clamped")
 	}
+	if whole := tr.Slice(0, tr.Len()); whole.nextPC(whole.Len()-1) != tr.nextPC(tr.Len()-1) {
+		t.Error("slice to the end lost the parent's final next pc")
+	}
 	if tr.Slice(10, 10).Len() != 0 || tr.Slice(20, 10).Len() != 0 {
 		t.Error("degenerate ranges not empty")
-	}
-	// Slicing must not mutate the original.
-	if err := tr.Validate(); err != nil {
-		t.Errorf("original corrupted by Slice: %v", err)
 	}
 }
 
@@ -157,9 +203,7 @@ func TestCaptureRegionSkip(t *testing.T) {
 	if skipped.Len() != full.Len()-10 {
 		t.Fatalf("skip=10 yielded %d, want %d", skipped.Len(), full.Len()-10)
 	}
-	if err := skipped.Validate(); err != nil {
-		t.Fatalf("skipped trace invalid: %v", err)
-	}
+	checkFlow(t, skipped)
 	if skipped.At(0).PC != full.At(10).PC {
 		t.Error("skip did not align")
 	}

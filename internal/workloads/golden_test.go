@@ -1,6 +1,8 @@
 package workloads
 
 import (
+	"bytes"
+	"crypto/sha256"
 	"fmt"
 	"hash/fnv"
 	"testing"
@@ -50,7 +52,7 @@ func traceHash(w Workload) uint64 {
 	for i := range tr.Insts {
 		d := &tr.Insts[i]
 		fmt.Fprintf(h, "%d|%d|%d|%d|%d|%d|%d|%v|%d\n",
-			d.PC, d.Class, d.Dst, d.Src1, d.Src2, d.Src3, d.Addr, d.Taken, d.Target)
+			d.PC, d.Class, d.Dst, d.Src1, d.Src2, d.Src3, d.Addr, d.Taken(), d.Target)
 	}
 	return h.Sum64()
 }
@@ -72,5 +74,34 @@ func TestGoldenTraces(t *testing.T) {
 					"if intentional, regenerate goldenTraceHashes", got, want)
 			}
 		})
+	}
+}
+
+// Golden trace files: the SHA-256 of trace.Save's output for the first
+// 20k instructions of three kernels' timed regions. Where
+// goldenTraceHashes pins the stream, these pin its on-disk encoding,
+// every byte of it: the record layout, the flag bits, the next-PC
+// words and the gzip settings. fgstpd keys its result caches on these
+// bytes, so a change here moves every cached entry.
+var goldenSaveDigests = map[string]string{
+	"gcc":      "eb2932e8616ebb12e2156b8e4e393f20b396a2d43f4203fa6b878b14043452db",
+	"mcf":      "04efb5d1c753ddbe610f3570cc31774b645dc0cd44a5d203d75269c7e263fae2",
+	"calculix": "c133dfcd5327d1ea005419a901e4022840a9c7b115bc4579173dacf269a1b388",
+}
+
+// TestGoldenSaveDigests pins the trace file format.
+func TestGoldenSaveDigests(t *testing.T) {
+	for name, want := range goldenSaveDigests {
+		w, ok := ByName(name)
+		if !ok {
+			t.Fatalf("unknown workload %s", name)
+		}
+		var buf bytes.Buffer
+		if err := w.Trace(20_000).Save(&buf); err != nil {
+			t.Fatalf("%s: Save: %v", name, err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != want {
+			t.Errorf("%s: saved trace sha256 %s, want %s — the trace file format changed", name, got, want)
+		}
 	}
 }

@@ -17,7 +17,8 @@
 #   bench smoke     one iteration of the E2 benchmark, proving the
 #                   experiment harness end-to-end
 #   fuzz smoke      5s of the trace-loader fuzzer: corrupt bytes must
-#                   error, never panic
+#                   error, never panic, and a trace the loader accepts
+#                   must save and load back unchanged
 #   degraded smoke  fgstpbench with an injected livelock must finish
 #                   the experiment, exit 1, and print byte-identical
 #                   reports for -jobs 1 and -jobs 4
@@ -27,6 +28,11 @@
 #                   deprecated -hotblock=0 flag (still passed by
 #                   bench/'s golden command) must be accepted and
 #                   change nothing
+#   trace smoke     fgstpsim -savetrace, then -loadtrace: the report
+#                   from the loaded trace must be byte-identical to the
+#                   direct run's, and re-saving the loaded trace must
+#                   reproduce the file byte for byte (the last record's
+#                   next-PC, which no later record repeats, included)
 #   all-exp smoke   fgstpbench -experiment all output must be
 #                   byte-identical at -jobs 1 and 4
 #   sampled smoke   scripts/simpointcheck on a fixed workload set: the
@@ -104,6 +110,17 @@ go build -o "$tmp/fgstpsim" ./cmd/fgstpsim
     -tracejson "$tmp/pipe.json" >/dev/null 2>&1
 grep -q '"traceEvents"' "$tmp/pipe.json" || {
     echo "pipeline trace missing traceEvents"; exit 1; }
+
+echo "== trace round-trip smoke (-savetrace/-loadtrace, byte-identical)"
+"$tmp/fgstpsim" -workload gcc -insts 20000 -savetrace "$tmp/gcc.trace" >/dev/null
+"$tmp/fgstpsim" -workload gcc -insts 20000 -format json >"$tmp/direct.json" 2>/dev/null
+"$tmp/fgstpsim" -loadtrace "$tmp/gcc.trace" -insts 20000 -format json \
+    >"$tmp/loaded.json" 2>/dev/null
+cmp "$tmp/direct.json" "$tmp/loaded.json" || {
+    echo "report from the loaded trace differs from the direct run"; exit 1; }
+"$tmp/fgstpsim" -loadtrace "$tmp/gcc.trace" -savetrace "$tmp/gcc2.trace" >/dev/null
+cmp "$tmp/gcc.trace" "$tmp/gcc2.trace" || {
+    echo "re-saved trace differs from the file it was loaded from"; exit 1; }
 
 echo "== all-experiments smoke (-experiment all, jobs 1 vs 4)"
 "$tmp/fgstpbench" -experiment all -insts 3000 -format json -jobs 1 \
