@@ -4,7 +4,9 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/bpred"
 	"repro/internal/config"
+	"repro/internal/mem"
 	"repro/internal/trace"
 	"repro/internal/workloads"
 )
@@ -18,45 +20,31 @@ func testTrace(t *testing.T, name string, insts uint64) *trace.Trace {
 	return w.Trace(insts)
 }
 
-func testMachine(t *testing.T) config.Machine {
-	t.Helper()
-	m, err := config.ByName("medium")
-	if err != nil {
-		t.Fatal(err)
-	}
-	return m
+// testGeometry is the medium preset's predictor and per-core hierarchy.
+func testGeometry() (bpred.Config, mem.HierarchyConfig) {
+	m := config.Medium()
+	return m.Core.Predictor, m.Hier
 }
 
-func warmSnapshot(t *testing.T, mode string, n int) *Snapshot {
+func testWarmer(t *testing.T, tr *trace.Trace) *Warmer {
 	t.Helper()
-	tr := testTrace(t, "mcf", 20000)
-	w, err := NewWarmer(testMachine(t), mode, tr)
+	pcfg, hcfg := testGeometry()
+	w, err := NewWarmer(pcfg, hcfg, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.AdvanceTo(n); err != nil {
-		t.Fatal(err)
-	}
-	return w.Snapshot()
+	return w
 }
 
 func TestWarmerIncrementalMatchesOneShot(t *testing.T) {
 	tr := testTrace(t, "gcc", 20000)
-	m := testMachine(t)
-
-	inc, err := NewWarmer(m, ModeSingle, tr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	inc := testWarmer(t, tr)
 	for _, b := range []int{3000, 7000, 12000, 18000} {
 		if err := inc.AdvanceTo(b); err != nil {
 			t.Fatal(err)
 		}
 	}
-	oneShot, err := NewWarmer(m, ModeSingle, tr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	oneShot := testWarmer(t, tr)
 	if err := oneShot.AdvanceTo(18000); err != nil {
 		t.Fatal(err)
 	}
@@ -65,12 +53,29 @@ func TestWarmerIncrementalMatchesOneShot(t *testing.T) {
 	}
 }
 
-func TestWarmerAdvanceValidation(t *testing.T) {
-	tr := testTrace(t, "mcf", 1000)
-	w, err := NewWarmer(testMachine(t), ModeSingle, tr)
-	if err != nil {
+// A snapshot is a deep copy: advancing the warmer past it leaves it
+// as it was taken.
+func TestSnapshotSurvivesAdvance(t *testing.T) {
+	tr := testTrace(t, "mcf", 20000)
+	w := testWarmer(t, tr)
+	if err := w.AdvanceTo(5000); err != nil {
 		t.Fatal(err)
 	}
+	snap, again := w.Snapshot(), w.Snapshot()
+	if err := w.AdvanceTo(15000); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(snap, again) {
+		t.Fatal("advancing the warmer mutated an earlier snapshot")
+	}
+	if reflect.DeepEqual(snap, w.Snapshot()) {
+		t.Fatal("10,000 more instructions left the warm state unchanged")
+	}
+}
+
+func TestWarmerAdvanceValidation(t *testing.T) {
+	tr := testTrace(t, "mcf", 1000)
+	w := testWarmer(t, tr)
 	if err := w.AdvanceTo(tr.Len() + 1); err == nil {
 		t.Error("advance past trace end accepted")
 	}
@@ -82,46 +87,25 @@ func TestWarmerAdvanceValidation(t *testing.T) {
 	}
 }
 
-func TestNewWarmerRejectsUnknownMode(t *testing.T) {
+func TestNewWarmerRejectsBadGeometry(t *testing.T) {
 	tr := testTrace(t, "mcf", 100)
-	if _, err := NewWarmer(testMachine(t), "warp-drive", tr); err == nil {
-		t.Fatal("unknown mode accepted")
+	pcfg, hcfg := testGeometry()
+	badPred := pcfg
+	badPred.Kind = "warp-drive"
+	if _, err := NewWarmer(badPred, hcfg, tr); err == nil {
+		t.Error("invalid predictor accepted")
 	}
-}
-
-func TestSnapshotLayouts(t *testing.T) {
-	single := warmSnapshot(t, ModeSingle, 5000)
-	if len(single.Caches) != 3 || len(single.Hiers) != 1 {
-		t.Fatalf("single layout: %d caches/%d hiers", len(single.Caches), len(single.Hiers))
-	}
-	if _, err := single.HierarchyState(); err != nil {
-		t.Errorf("single HierarchyState: %v", err)
-	}
-	if _, err := single.MachineWarm(); err == nil {
-		t.Error("single snapshot converted for the fgstp pair")
-	}
-
-	pair := warmSnapshot(t, ModeFgSTP, 5000)
-	if len(pair.Caches) != 5 || len(pair.Hiers) != 2 {
-		t.Fatalf("fgstp layout: %d caches/%d hiers", len(pair.Caches), len(pair.Hiers))
-	}
-	if _, err := pair.MachineWarm(); err != nil {
-		t.Errorf("fgstp MachineWarm: %v", err)
-	}
-	if _, err := pair.HierarchyState(); err == nil {
-		t.Error("fgstp snapshot converted for a private hierarchy")
-	}
-
-	// Replicated L1 state must not alias the original arrays.
-	pair.Caches[0].Tags[0] ^= 0xDEAD
-	if pair.Caches[2].Tags[0] == pair.Caches[0].Tags[0] {
-		t.Error("replicated L1I aliases the warmed array")
+	badHier := hcfg
+	badHier.L1D.Assoc = 0
+	if _, err := NewWarmer(pcfg, badHier, tr); err == nil {
+		t.Error("invalid hierarchy accepted")
 	}
 }
 
 func TestCaptureDedupesBoundaries(t *testing.T) {
 	tr := testTrace(t, "mcf", 10000)
-	snaps, err := Capture(testMachine(t), ModeSingle, tr, []int{2000, 2000, 6000, 10000})
+	pcfg, hcfg := testGeometry()
+	snaps, err := Capture(pcfg, hcfg, tr, []int{2000, 2000, 6000, 10000})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,10 +9,12 @@ package cmp
 import (
 	"fmt"
 
+	"repro/internal/checkpoint"
 	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/corefusion"
 	"repro/internal/hotblock"
+	"repro/internal/mem"
 	"repro/internal/metrics"
 	"repro/internal/ooo"
 	"repro/internal/stats"
@@ -103,16 +105,80 @@ func RunOpts(m config.Machine, mode Mode, tr *trace.Trace, opts Options) (stats.
 	if tr.Len() == 0 {
 		return stats.Run{}, fmt.Errorf("empty trace %q", tr.Name)
 	}
-	switch mode {
-	case ModeSingle:
-		return ooo.RunTraceWith(m.Core, m.Hier, tr, ooo.RunOptions{Sink: opts.Sink})
-	case ModeFusion:
-		return corefusion.RunWith(m, tr, ooo.RunOptions{Sink: opts.Sink})
-	case ModeFgSTP:
-		return core.RunWith(m, tr, core.RunOptions{Faults: opts.Faults, Sink: opts.Sink})
-	default:
-		return stats.Run{}, fmt.Errorf("unknown mode %q", mode)
+	mach, summarize, err := build(m, mode, tr, nil, opts)
+	if err != nil {
+		return stats.Run{}, err
 	}
+	cycles, err := ooo.Drain(mach, tr.Len())
+	if err != nil {
+		return stats.Run{}, err
+	}
+	return summarize(cycles), nil
+}
+
+// build is the one place that knows how each mode's machine is built
+// and restored. It assembles mode's machine over tr, starts it warm
+// from snap when snap is non-nil, installs opts' faults and sink, and
+// returns it with the summary of a finished run.
+func build(m config.Machine, mode Mode, tr *trace.Trace, snap *checkpoint.Snapshot, opts Options) (ooo.Stepper, func(cycles int64) stats.Run, error) {
+	switch mode {
+	case ModeSingle, ModeFusion:
+		ccfg := m.Core
+		if mode == ModeFusion {
+			ccfg = corefusion.FusedConfig(m)
+		}
+		hier, err := mem.NewHierarchy(hierarchy(m, mode))
+		if err != nil {
+			return nil, nil, err
+		}
+		c, err := ooo.NewCore(ccfg, hier, ooo.NewTraceStream(tr), nil)
+		if err != nil {
+			return nil, nil, err
+		}
+		if snap != nil {
+			// The dependence predictor stays cold (see checkpoint).
+			if err := hier.SetState(&snap.Hier); err != nil {
+				return nil, nil, err
+			}
+			if err := c.Predictor().SetState(snap.Pred); err != nil {
+				return nil, nil, err
+			}
+		}
+		c.SetEventSink(opts.Sink, 0)
+		return c, func(cycles int64) stats.Run {
+			r := ooo.Summarize(c, tr, string(mode), cycles)
+			if mode == ModeFusion {
+				r.Set("active_cores", 2) // fusion powers both cores
+			}
+			return r
+		}, nil
+	case ModeFgSTP:
+		mach, err := core.NewMachine(m, tr)
+		if err != nil {
+			return nil, nil, err
+		}
+		if snap != nil {
+			if err := mach.Restore(snap); err != nil {
+				return nil, nil, err
+			}
+		}
+		mach.SetFaults(opts.Faults)
+		if opts.Sink != nil {
+			mach.SetEventSink(opts.Sink)
+		}
+		return mach, mach.Summarize, nil
+	}
+	return nil, nil, fmt.Errorf("unknown mode %q", mode)
+}
+
+// hierarchy is the cache geometry of mode's core: the per-core one,
+// which each of the Fg-STP pair's private hierarchies has, or the fused
+// core's doubled L1s.
+func hierarchy(m config.Machine, mode Mode) mem.HierarchyConfig {
+	if mode == ModeFusion {
+		return corefusion.FusedHierarchy(m)
+	}
+	return m.Hier
 }
 
 // RunAll runs tr in every mode and returns the results keyed by mode.

@@ -6,9 +6,6 @@ import (
 
 	"repro/internal/checkpoint"
 	"repro/internal/config"
-	"repro/internal/core"
-	"repro/internal/corefusion"
-	"repro/internal/mem"
 	"repro/internal/ooo"
 	"repro/internal/trace"
 )
@@ -42,7 +39,7 @@ func NewSliceSim(m config.Machine, mode Mode, tr *trace.Trace, boundaries []int)
 	if len(sorted) > 0 && sorted[0] < 0 {
 		return nil, fmt.Errorf("sampled: negative slice boundary %d", sorted[0])
 	}
-	snaps, err := checkpoint.Capture(m, string(mode), tr, sorted)
+	snaps, err := checkpoint.Capture(m.Core.Predictor, hierarchy(m, mode), tr, sorted)
 	if err != nil {
 		return nil, err
 	}
@@ -62,51 +59,11 @@ func (s *SliceSim) Run(wstart, start, end int) (cycles, insts uint64, err error)
 	if !ok {
 		return 0, 0, fmt.Errorf("sampled: no checkpoint at %d", wstart)
 	}
-	sub := s.tr.Slice(wstart, end)
-	warmInsts := uint64(start - wstart)
-
-	var total, warmEnd int64
-	switch s.mode {
-	case ModeSingle:
-		hier, herr := mem.NewHierarchy(s.m.Hier)
-		if herr != nil {
-			return 0, 0, herr
-		}
-		hs, herr := snap.HierarchyState()
-		if herr != nil {
-			return 0, 0, herr
-		}
-		if herr := hier.SetState(hs); herr != nil {
-			return 0, 0, herr
-		}
-		c, herr := ooo.NewCoreAt(s.m.Core, hier, ooo.NewTraceStream(sub), nil, snap.CoreWarm())
-		if herr != nil {
-			return 0, 0, herr
-		}
-		total, warmEnd, err = ooo.DrainMeasured(c, sub.Len(), warmInsts)
-	case ModeFusion:
-		hs, herr := snap.HierarchyState()
-		if herr != nil {
-			return 0, 0, herr
-		}
-		c, _, herr := corefusion.NewFusedAt(s.m, sub, hs, snap.CoreWarm())
-		if herr != nil {
-			return 0, 0, herr
-		}
-		total, warmEnd, err = ooo.DrainMeasured(c, sub.Len(), warmInsts)
-	case ModeFgSTP:
-		warm, herr := snap.MachineWarm()
-		if herr != nil {
-			return 0, 0, herr
-		}
-		machine, herr := core.NewMachineAt(s.m, sub, warm)
-		if herr != nil {
-			return 0, 0, herr
-		}
-		total, warmEnd, err = machine.DrainMeasured(warmInsts)
-	default:
-		return 0, 0, fmt.Errorf("unknown mode %q", s.mode)
+	mach, _, err := build(s.m, s.mode, s.tr.Slice(wstart, end), snap, Options{})
+	if err != nil {
+		return 0, 0, err
 	}
+	total, warmEnd, err := ooo.Run(mach, end-wstart, true, uint64(start-wstart))
 	if err != nil {
 		return 0, 0, err
 	}

@@ -1,6 +1,9 @@
 package cmp
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"testing"
 
 	"repro/internal/config"
@@ -114,5 +117,81 @@ func TestSliceSimErrors(t *testing.T) {
 	}
 	if _, _, err := sim.Run(500, 1_000, 2_000); err == nil {
 		t.Error("missing checkpoint accepted")
+	}
+}
+
+// sliceDigest is the SHA-256 over TestSliceSimPinned's per-slice lines.
+// Restore plumbing is pure bookkeeping: a change to it must leave every
+// mid-trace slice's measured cycles and instructions as they are, and
+// only a deliberate change to warming or restoring moves the digest.
+const sliceDigest = "3f9c5d8b8994f402d5628facacdd0d83a9fb43de6f098d646bb13acc27da1cf6"
+
+// TestSliceSimPinned hashes SliceSim.Run's (cycles, insts) for three
+// mid-trace slices with non-zero warmup per (workload, machine, mode)
+// cell: gcc, mcf and bzip2 on small and medium in every mode. Only a
+// mid-trace slice restores warm predictor and cache state (position 0
+// restores a cold one), so this is the test that sees a restore change
+// — for example the Fg-STP pair's L1s restored into one core only.
+// Cells run as parallel subtests, hashed in cell order afterwards.
+func TestSliceSimPinned(t *testing.T) {
+	type slice struct{ wstart, start, end int }
+	slices := []slice{{3_000, 5_000, 8_000}, {9_000, 12_000, 14_000}, {15_000, 17_000, 20_000}}
+	var bounds []int
+	for _, s := range slices {
+		bounds = append(bounds, s.wstart)
+	}
+	type cell struct {
+		w    string
+		m    config.Machine
+		mode Mode
+	}
+	var cells []cell
+	for _, w := range []string{"gcc", "mcf", "bzip2"} {
+		for _, m := range []config.Machine{config.Small(), config.Medium()} {
+			for _, mode := range Modes() {
+				cells = append(cells, cell{w, m, mode})
+			}
+		}
+	}
+	lines := make([]string, len(cells))
+	t.Run("cells", func(t *testing.T) {
+		for i, c := range cells {
+			i, c := i, c
+			t.Run(c.w+"/"+c.m.Name+"/"+string(c.mode), func(t *testing.T) {
+				t.Parallel()
+				w, ok := workloads.ByName(c.w)
+				if !ok {
+					t.Fatalf("unknown workload %s", c.w)
+				}
+				sim, err := NewSliceSim(c.m, c.mode, w.Trace(20_000), bounds)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, s := range slices {
+					cycles, insts, err := sim.Run(s.wstart, s.start, s.end)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if insts != uint64(s.end-s.start) || cycles == 0 {
+						t.Errorf("slice %v: %d cycles, %d insts", s, cycles, insts)
+					}
+					lines[i] += fmt.Sprintf("%s %s %s %d/%d/%d cycles=%d insts=%d\n",
+						c.w, c.m.Name, c.mode, s.wstart, s.start, s.end, cycles, insts)
+				}
+			})
+		}
+	})
+	if t.Failed() {
+		return
+	}
+	h := sha256.New()
+	for _, l := range lines {
+		if l == "" {
+			t.Skip("a -run filter left cells out; the digest covers all of them")
+		}
+		h.Write([]byte(l))
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != sliceDigest {
+		t.Errorf("slice digest %s, want %s", got, sliceDigest)
 	}
 }

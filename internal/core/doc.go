@@ -29,6 +29,8 @@
 //
 // The package builds on the substrates: internal/ooo provides the core
 // pipelines (run with external front ends), internal/mem the shared-L2
-// memory system, internal/bpred the sequencer's predictor. Entry point:
-// Run (or NewMachine + Machine.Run for instrumented use).
+// memory system, internal/bpred the sequencer's predictor, and
+// internal/ooo's drain loop runs the machine. Entry point: NewMachine,
+// then Drain (or Cycle, for instrumented use); Restore starts the
+// machine from a checkpoint.
 package core

@@ -48,10 +48,8 @@ func TestFgstpCommitsEverything(t *testing.T) {
 	for _, preset := range []config.Machine{config.Small(), config.Medium()} {
 		for _, w := range workloads.All() {
 			tr := w.Trace(8_000)
-			r, err := RunWith(preset, tr, RunOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
+			m := mustMachine(t, preset, tr)
+			r := m.Summarize(mustDrainM(t, m))
 			if r.Insts != uint64(tr.Len()) {
 				t.Errorf("%s/%s: committed %d of %d", preset.Name, w.Name, r.Insts, tr.Len())
 			}

@@ -3,15 +3,9 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/config"
-	"repro/internal/metrics"
 	"repro/internal/ooo"
 	"repro/internal/stats"
-	"repro/internal/trace"
 )
-
-// maxCyclesPerInst bounds runs against livelock bugs.
-const maxCyclesPerInst = 2000
 
 // LivelockError is the Fg-STP watchdog diagnostic: a forensic snapshot
 // of the stalled two-core machine at detection time. It wraps
@@ -57,117 +51,36 @@ func (e *LivelockError) Error() string {
 
 func (e *LivelockError) Unwrap() error { return ooo.ErrLivelock }
 
-// RunOptions bundles the optional knobs of an Fg-STP run. The zero
-// value simulates plainly.
-type RunOptions struct {
-	// Faults optionally injects deterministic faults (nil: none).
-	// Injected faults that starve the machine surface as a
-	// *LivelockError from the watchdog, not a hang.
-	Faults Faults
-	// Sink receives pipeline events from the machine and both cores;
-	// the events render into a Chrome trace via metrics.WriteChromeTrace.
-	Sink metrics.Sink
-}
-
-// RunWith simulates tr to completion on an Fg-STP machine built from
-// cfg under opts and returns the run summary — the Fg-STP data point of
-// every experiment.
-func RunWith(cfg config.Machine, tr *trace.Trace, opts RunOptions) (stats.Run, error) {
-	m, err := NewMachine(cfg, tr)
-	if err != nil {
-		return stats.Run{}, err
-	}
-	m.SetFaults(opts.Faults)
-	if opts.Sink != nil {
-		m.SetEventSink(opts.Sink)
-	}
-	cycles, err := m.Drain()
-	if err != nil {
-		return stats.Run{}, err
-	}
-	return m.Summarize(cycles), nil
-}
-
 // Drain cycles the machine until the whole trace has committed and
-// returns the cycle count, jumping the clock over dead spans via
-// NextEvent/SkipTo (see skip.go). A livelocked run — no commit progress
-// for ooo.LivelockWindow cycles, or the absolute per-instruction cycle
-// limit exceeded — returns a *LivelockError snapshot instead of
-// spinning forever; the snapshot is taken at exactly the cycle a ticked
-// run would have fired at, because skips are clamped to the watchdog
-// bounds.
-func (m *Machine) Drain() (int64, error) {
-	total, _, err := m.drain(true, 0)
-	return total, err
+// returns the cycle count, jumping the clock over dead spans (see
+// ooo.Run, the drain loop, and skip.go). A livelocked run returns a
+// *LivelockError snapshot, taken at exactly the cycle a ticked run
+// would have fired at.
+func (m *Machine) Drain() (int64, error) { return ooo.Drain(m, m.tr.Len()) }
+
+// DrainTicked is Drain without event-driven skipping, the reference of
+// the skip-vs-tick differential tests.
+func (m *Machine) DrainTicked() (int64, error) { return ooo.DrainTicked(m, m.tr.Len()) }
+
+// Progress implements ooo.Stepper: the watchdog watches the global
+// commit pointer.
+func (m *Machine) Progress() (uint64, bool) { return m.nextCommit, m.Done() }
+
+// Step implements ooo.Stepper: one Cycle, reported.
+func (m *Machine) Step(now int64) (committed uint64, done, moved bool) {
+	work := m.activity()
+	m.Cycle(now)
+	return m.nextCommit, m.Done(), m.activity() != work
 }
 
-// DrainTicked is Drain without event-driven skipping: every cycle is
-// simulated individually. It exists for the skip-vs-tick differential
-// tests; both paths must produce identical summaries and cycle counts.
-func (m *Machine) DrainTicked() (int64, error) {
-	total, _, err := m.drain(false, 0)
-	return total, err
-}
-
-// drain is the one run loop behind Drain, DrainTicked and
-// DrainMeasured. skip enables event-driven time advance; warmEnd is the
-// cycle by which the global commit pointer had passed warmInsts (total
-// when it never did).
-func (m *Machine) drain(skip bool, warmInsts uint64) (total, warmEnd int64, err error) {
-	limit := int64(m.tr.Len()+1000) * maxCyclesPerInst
-	var now, lastProgress int64
-	warmEnd = -1
-	lastCommit := m.nextCommit
-	if lastCommit >= warmInsts {
-		warmEnd = 0
-	}
-	// idle: the last ticked cycle moved nothing, so the next one may be
-	// dead. After a busy cycle NextEvent almost always answers "now",
-	// and ticking a dead cycle is exact anyway, so the loop asks only
-	// after an idle one.
-	idle := true
-	for !m.Done() {
-		if m.nextCommit != lastCommit {
-			lastCommit, lastProgress = m.nextCommit, now
-		}
-		if now-lastProgress > ooo.LivelockWindow || now > limit {
-			return now, now, m.livelockSnapshot(now, now-lastProgress)
-		}
-		if skip && idle {
-			if next := m.NextEvent(now); next > now {
-				if w := lastProgress + ooo.LivelockWindow + 1; next > w {
-					next = w
-				}
-				if next > limit+1 {
-					next = limit + 1
-				}
-				m.SkipTo(now, next)
-				now = next
-				idle = false // next is an event (or the watchdog fires)
-				continue
-			}
-		}
-		work := m.activity()
-		m.Cycle(now)
-		now++
-		idle = m.activity() == work
-		if warmEnd < 0 && m.nextCommit >= warmInsts {
-			warmEnd = now
-		}
-	}
-	if warmEnd < 0 {
-		warmEnd = now
-	}
-	return now, warmEnd, nil
-}
-
-// livelockSnapshot assembles the watchdog diagnostic at cycle now.
-func (m *Machine) livelockSnapshot(now, sinceCommit int64) *LivelockError {
+// Livelock implements ooo.Stepper: the forensic snapshot of the
+// stalled machine at cycle now.
+func (m *Machine) Livelock(now, sinceCommit int64, traceLen int) error {
 	e := &LivelockError{
 		Cycles:          now,
 		SinceCommit:     sinceCommit,
 		NextCommit:      m.nextCommit,
-		TraceLen:        m.tr.Len(),
+		TraceLen:        traceLen,
 		Delivered:       m.seq.pos,
 		Squashes:        m.GlobalSquashes,
 		LastSquashGSeq:  m.lastSquashGSeq,
@@ -253,10 +166,6 @@ func (m *Machine) Summarize(cycles int64) stats.Run {
 // Steerer exposes the steering unit (read-only) for characterisation
 // experiments and tests.
 func (m *Machine) Steerer() *steerer { return m.st }
-
-// Sequencer stats accessors used by tests and the characterisation
-// experiment.
-func (m *Machine) SequencerMispredicts() uint64 { return m.seq.Mispredicts }
 
 // ChannelTransfers returns total cross-core value transfers.
 func (m *Machine) ChannelTransfers() uint64 {

@@ -8,7 +8,7 @@ import (
 // machine-level counterpart of internal/ooo's NextEvent/SkipTo. A
 // machine cycle is dead when the sequencer cannot deliver, neither core
 // can retire, issue, dispatch or fetch, and no squash is pending; the
-// drain loop in run.go jumps the clock across such spans. Fault
+// drain loop (ooo.Run) jumps the clock across such spans. Fault
 // injection defeats the estimates (an injected channel stall can end at
 // any cycle without any machine state announcing it), so a machine with
 // an injector installed never skips — which keeps the watchdog drills
@@ -17,7 +17,8 @@ import (
 // NextEvent returns now when cycle now could change machine state, and
 // otherwise the earliest future cycle at which anything can happen:
 // sequencer resumption, or either core's next commit / wake / dispatch
-// event, with cross-core commit gating resolved through GateOpenAt.
+// event, with cross-core commit gating resolved through the cores'
+// hooks (GateOpenAt).
 func (m *Machine) NextEvent(now int64) int64 {
 	if m.faults != nil || m.hasSquash {
 		return now
@@ -48,7 +49,7 @@ func (m *Machine) NextEvent(now int64) int64 {
 	}
 
 	for i := 0; i < 2; i++ {
-		e := m.cores[i].NextEvent(now, m)
+		e := m.cores[i].NextEvent(now)
 		if e <= now {
 			return now
 		}
@@ -77,7 +78,7 @@ func (m *Machine) SkipTo(from, to int64) {
 	m.cores[1].SkipTo(from, to)
 }
 
-// GateOpenAt implements ooo.CommitGate: the earliest cycle >= now at
+// GateOpenAt implements ooo.Hooks: the earliest cycle >= now at
 // which instruction g could pass CanCommit, i.e. the commit frontier
 // (computed from the previous cycle's completion state) moves past g.
 // That needs every instruction <= g delivered and completed on both
@@ -85,7 +86,8 @@ func (m *Machine) SkipTo(from, to int64) {
 // latest such completion. ooo.NoEvent means some older instruction is
 // undelivered or unissued; the change that completes it is itself an
 // event that ends the skip.
-func (m *Machine) GateOpenAt(g uint64, now int64) int64 {
+func (h *coreHooks) GateOpenAt(g uint64, now int64) int64 {
+	m := h.m
 	if m.seq.pos <= g {
 		return ooo.NoEvent
 	}

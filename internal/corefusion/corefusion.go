@@ -17,8 +17,6 @@ import (
 	"repro/internal/config"
 	"repro/internal/mem"
 	"repro/internal/ooo"
-	"repro/internal/stats"
-	"repro/internal/trace"
 )
 
 // FusedConfig derives the fused-core pipeline configuration from a
@@ -56,61 +54,4 @@ func FusedHierarchy(m config.Machine) mem.HierarchyConfig {
 	h.L1I.LatencyCycles += m.Fusion.L1CrossbarLatency
 	h.L1D.LatencyCycles += m.Fusion.L1CrossbarLatency
 	return h
-}
-
-// NewFused assembles the fused machine over a captured trace: the
-// double-width two-cluster core and its banked double-capacity L1
-// hierarchy. Callers that need drain control beyond RunWith (sampled
-// slice simulation, checkpoint restore) build through here.
-func NewFused(m config.Machine, tr *trace.Trace) (*ooo.Core, *mem.Hierarchy, error) {
-	hier, err := mem.NewHierarchy(FusedHierarchy(m))
-	if err != nil {
-		return nil, nil, err
-	}
-	core, err := ooo.NewCore(FusedConfig(m), hier, ooo.NewTraceStream(tr), nil)
-	if err != nil {
-		return nil, nil, err
-	}
-	return core, hier, nil
-}
-
-// NewFusedAt builds the fused machine constructed *at* a checkpoint:
-// the hierarchy restored from hs and the core's predictor and
-// dependence-predictor tables from warm (see ooo.NewCoreAt). Nil
-// snapshots leave the corresponding component cold.
-func NewFusedAt(m config.Machine, tr *trace.Trace, hs *mem.HierarchyState, warm *ooo.WarmState) (*ooo.Core, *mem.Hierarchy, error) {
-	core, hier, err := NewFused(m, tr)
-	if err != nil {
-		return nil, nil, err
-	}
-	if hs != nil {
-		if err := hier.SetState(hs); err != nil {
-			return nil, nil, err
-		}
-	}
-	if err := core.Restore(warm); err != nil {
-		return nil, nil, err
-	}
-	return core, hier, nil
-}
-
-// RunWith simulates tr to completion on the fused configuration of
-// machine m under opts (an optional event sink) and returns the run
-// summary. The fused machine is a single ooo.Core with two clusters and
-// no cross-core hooks, so it drains exactly like the single-core
-// baseline.
-func RunWith(m config.Machine, tr *trace.Trace, opts ooo.RunOptions) (stats.Run, error) {
-	core, _, err := NewFused(m, tr)
-	if err != nil {
-		return stats.Run{}, err
-	}
-	core.SetEventSink(opts.Sink, 0)
-	cycles, err := ooo.Drain(core, tr.Len())
-	if err != nil {
-		return stats.Run{}, err
-	}
-	r := ooo.Summarize(core, tr, "corefusion", cycles)
-	// Fusion powers both constituent cores.
-	r.Set("active_cores", 2)
-	return r, nil
 }

@@ -1,20 +1,23 @@
-package corefusion
+package corefusion_test
 
 import (
 	"testing"
 
+	"repro/internal/cmp"
 	"repro/internal/config"
+	"repro/internal/corefusion"
 	"repro/internal/isa"
-	"repro/internal/ooo"
 	"repro/internal/program"
 	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/workloads"
 )
 
+// mustRun runs tr on m's fused machine through cmp, which builds it
+// from FusedConfig and FusedHierarchy.
 func mustRun(tb testing.TB, m config.Machine, tr *trace.Trace) stats.Run {
 	tb.Helper()
-	r, err := RunWith(m, tr, ooo.RunOptions{})
+	r, err := cmp.Run(m, cmp.ModeFusion, tr)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -23,7 +26,7 @@ func mustRun(tb testing.TB, m config.Machine, tr *trace.Trace) stats.Run {
 
 func TestFusedConfigDerivation(t *testing.T) {
 	m := config.Medium()
-	c := FusedConfig(m)
+	c := corefusion.FusedConfig(m)
 	if c.FetchWidth != 2*m.Core.FetchWidth || c.FrontWidth != 2*m.Core.FrontWidth {
 		t.Error("fused front end must double")
 	}
@@ -52,7 +55,7 @@ func TestFusedConfigDerivation(t *testing.T) {
 
 func TestFusedHierarchyDerivation(t *testing.T) {
 	m := config.Medium()
-	h := FusedHierarchy(m)
+	h := corefusion.FusedHierarchy(m)
 	if h.L1D.SizeBytes != 2*m.Hier.L1D.SizeBytes {
 		t.Error("fused L1D must double (banked pair)")
 	}
@@ -136,7 +139,7 @@ func TestFusedMispredictPenaltyDeeper(t *testing.T) {
 
 func singleCycles(t *testing.T, m config.Machine, tr *trace.Trace) uint64 {
 	t.Helper()
-	r, err := ooo.RunTraceWith(m.Core, m.Hier, tr, ooo.RunOptions{})
+	r, err := cmp.Run(m, cmp.ModeSingle, tr)
 	if err != nil {
 		t.Fatal(err)
 	}

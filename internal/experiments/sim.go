@@ -26,12 +26,6 @@ import (
 // byte-identical to CLI output.
 const SimSchemaVersion = "fgstp.sim/1"
 
-// SimInjections lists the fault injections SimJobs accepts (beyond ""):
-// "livelock" stalls the Fg-STP inter-core channel from cycle 0 and
-// "panic" makes the first channel poll panic inside the engine — the
-// two chaos drills of the fault-containment machinery.
-func SimInjections() []string { return []string{"livelock", "panic"} }
-
 // SimJobs builds the per-mode job list of one simulation report: one
 // job per mode over the shared read-only trace, tagged by mode so
 // failures render identically everywhere. A non-empty inject arms the

@@ -18,18 +18,14 @@ import (
 
 // Injector is a seedable source of deterministic faults.
 type Injector struct {
-	seed int64
-	rng  *rand.Rand
+	rng *rand.Rand
 }
 
 // New returns an injector whose fault choices are a pure function of
 // seed.
 func New(seed int64) *Injector {
-	return &Injector{seed: seed, rng: rand.New(rand.NewSource(seed))}
+	return &Injector{rng: rand.New(rand.NewSource(seed))}
 }
-
-// Seed returns the seed the injector was built with.
-func (in *Injector) Seed() int64 { return in.seed }
 
 // CorruptBytes returns a copy of data with n bytes flipped at
 // rng-chosen offsets (XOR with a rng-chosen non-zero mask). The input

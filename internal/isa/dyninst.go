@@ -2,11 +2,6 @@ package isa
 
 import "fmt"
 
-// WordSize is the memory access granularity in bytes. All loads and
-// stores in the ISA move one 8-byte word; the cache models only need
-// the address and size.
-const WordSize = 8
-
 // DynInst is one dynamically executed instruction as emitted by the
 // functional executor and consumed by every timing model. It carries
 // the architectural facts a trace-driven simulator needs: identity

@@ -37,7 +37,6 @@ type UOp struct {
 	dispatchReady int64
 	dispatched    bool
 	issued        bool
-	issuedAt      int64
 	completeAt    int64
 
 	// Dataflow: for each real source (srcRegs[:nsrc]), either a local
@@ -72,10 +71,11 @@ type UOp struct {
 	nextWaiter *UOp
 	waitingOn  uint64
 
-	// Memory state.
-	speculative bool   // load issued past unknown older store addresses
-	fwdGSeq     uint64 // store this load forwarded from (valid if hasFwd)
-	hasFwd      bool
+	// Memory state: the store this load forwarded from, by sequence
+	// number (valid if hasFwd) — the store may commit and be recycled
+	// while the load is still in flight.
+	fwdGSeq uint64
+	hasFwd  bool
 
 	mispredicted bool // branch mispredicted by the internal front end
 }
@@ -86,22 +86,10 @@ func (u *UOp) DI() *isa.DynInst { return u.Item.DI }
 // GSeq returns the global program-order sequence number.
 func (u *UOp) GSeq() uint64 { return u.Item.GSeq }
 
-// Issued reports whether the uop has issued, and IssuedAt/CompleteAt
-// report its execution timing (valid once issued).
+// Issued reports whether the uop has issued, and CompleteAt its
+// completion cycle (valid once issued).
 func (u *UOp) Issued() bool      { return u.issued }
-func (u *UOp) IssuedAt() int64   { return u.issuedAt }
 func (u *UOp) CompleteAt() int64 { return u.completeAt }
-
-// Speculative reports whether this load issued past an older store
-// with unresolved address.
-func (u *UOp) Speculative() bool { return u.speculative }
-
-// ForwardedFromGSeq returns the GSeq of the local store this load
-// received its value from via store-to-load forwarding, and whether it
-// forwarded at all. The store is identified by sequence number rather
-// than pointer because it may commit (and be recycled) while the load
-// is still in flight.
-func (u *UOp) ForwardedFromGSeq() (uint64, bool) { return u.fwdGSeq, u.hasFwd }
 
 // Hooks is the extension point the Fg-STP coordinator uses to couple
 // two cores. All methods are called synchronously from Cycle. A nil
@@ -131,6 +119,13 @@ type Hooks interface {
 	OnComplete(u *UOp, now int64)
 	// CanCommit gates commit of u (global program-order commit).
 	CanCommit(u *UOp, now int64) bool
+	// GateOpenAt is CanCommit's lookahead for the event-driven time
+	// advance: given the ROB-head sequence number g, the earliest cycle
+	// >= now at which CanCommit could allow g to retire, assuming no
+	// state changes before then, or NoEvent when that cycle is not
+	// computable from current state (the change that opens the gate is
+	// then itself an event on some core, which ends the skip).
+	GateOpenAt(g uint64, now int64) int64
 	// OnCommit fires when u commits. The uop is recycled when the hook
 	// returns: implementations must not retain the pointer.
 	OnCommit(u *UOp, now int64)
@@ -387,9 +382,6 @@ func (c *Core) Hier() *mem.Hierarchy { return c.hier }
 // front end).
 func (c *Core) Predictor() *bpred.Predictor { return c.pred }
 
-// DepPredictor returns the core's memory-dependence predictor.
-func (c *Core) DepPredictor() *DepPred { return c.dep }
-
 // Report returns the core's accumulated statistics.
 func (c *Core) Report() Report { return c.rpt }
 
@@ -401,11 +393,6 @@ func (c *Core) Done() bool {
 
 // InFlight returns the number of uops in the ROB.
 func (c *Core) InFlight() int { return c.rob.len() }
-
-// Committed returns the core's committed-instruction count so far; the
-// livelock watchdog polls it every cycle, so it must stay allocation-
-// free (unlike Report, which copies the whole statistics block).
-func (c *Core) Committed() uint64 { return c.rpt.Committed }
 
 // OldestUncommitted returns the GSeq at the head of the ROB, or
 // ok=false when the ROB is empty.
@@ -941,7 +928,6 @@ func (c *Core) tryIssue(u *UOp, now int64, budgets []issueBudget) bool {
 
 func (c *Core) startExec(u *UOp, now int64, lat int) {
 	u.issued = true
-	u.issuedAt = now
 	u.completeAt = now + int64(lat)
 	c.iqCount[u.Cluster]--
 	c.rpt.Issued++
@@ -1150,7 +1136,6 @@ func (c *Core) loadReady(u *UOp, now int64) (bool, int) {
 		}
 		speculative = speculative || spec
 	}
-	u.speculative = speculative
 	if speculative {
 		c.rpt.LoadsSpeculative++
 	}
@@ -1414,8 +1399,8 @@ func (c *Core) WakeExt(lo, hi uint64, at int64) {
 }
 
 // Activity counts the pipeline work done so far: uops fetched,
-// dispatched, issued and retired, plus squashes. A drain loop compares
-// it across a ticked cycle; only a cycle that moved nothing is worth
+// dispatched, issued and retired, plus squashes. Step compares it
+// across a ticked cycle; only a cycle that moved nothing is worth
 // asking NextEvent about.
 func (c *Core) Activity() uint64 {
 	return c.rpt.Fetched + c.dispatched + c.rpt.Issued +

@@ -452,10 +452,8 @@ func TestRunTraceSummary(t *testing.T) {
 		addi r1, r1, -1
 		bne r1, r0, loop
 		halt`)
-	r, err := RunTraceWith(testConfig(), testHier(), tr, RunOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	core := mustCore(t, testConfig(), tr)
+	r := Summarize(core, tr, "single", mustDrain(t, core, tr.Len()))
 	if r.Insts != uint64(tr.Len()) {
 		t.Errorf("run insts %d, want %d", r.Insts, tr.Len())
 	}

@@ -23,6 +23,7 @@ func (h *commitRecorder) LoadExtraLatency(u *UOp) int                    { retur
 func (h *commitRecorder) OnIssue(u *UOp, now int64)                      {}
 func (h *commitRecorder) OnComplete(u *UOp, now int64)                   {}
 func (h *commitRecorder) CanCommit(u *UOp, now int64) bool               { return true }
+func (h *commitRecorder) GateOpenAt(g uint64, now int64) int64           { return now }
 func (h *commitRecorder) OnViolation(gseq uint64, now int64) bool        { return false }
 
 func (h *commitRecorder) OnCommit(u *UOp, now int64) {
@@ -116,7 +117,7 @@ func TestCoreCycleZeroAllocs(t *testing.T) {
 	if avg != 0 {
 		t.Errorf("steady-state Core.Cycle allocates: %.2f allocs per 100 cycles, want 0", avg)
 	}
-	if core.Committed() == 0 {
+	if core.Report().Committed == 0 {
 		t.Fatal("core made no progress during the measurement")
 	}
 }
@@ -180,7 +181,7 @@ func TestRandomSquashDeterministic(t *testing.T) {
 					}
 				}
 				if now > int64(tr.Len())*1000 {
-					t.Fatalf("seed %d: livelock after %d cycles (%d committed)", seed, now, core.Committed())
+					t.Fatalf("seed %d: livelock after %d cycles (%d committed)", seed, now, core.Report().Committed)
 				}
 			}
 			return outcome{gseqs: rec.gseqs, cycles: now}

@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/mem"
-	"repro/internal/metrics"
 	"repro/internal/stats"
 	"repro/internal/trace"
 )
@@ -55,87 +53,76 @@ func (e *LivelockError) Error() string {
 
 func (e *LivelockError) Unwrap() error { return ErrLivelock }
 
-// RunOptions bundles the optional knobs of a single-core run. The zero
-// value means no event sink.
-type RunOptions struct {
-	// Sink receives pipeline events; they render into a Chrome trace via
-	// metrics.WriteChromeTrace.
-	Sink metrics.Sink
+// Stepper is a machine the drain loop advances: a single or fused
+// *Core, or the two-core Fg-STP machine of internal/core. The loop
+// makes one Step call per ticked cycle; NextEvent and SkipTo serve the
+// event-driven time advance (skip.go) and run only after an idle tick.
+type Stepper interface {
+	// Progress reports the count the watchdog watches (committed
+	// instructions, or the global commit pointer) and whether the
+	// machine has drained, before the first cycle.
+	Progress() (committed uint64, done bool)
+	// Step simulates cycle now and reports the same two facts after it,
+	// plus whether the cycle moved anything at all.
+	Step(now int64) (committed uint64, done, moved bool)
+	// NextEvent returns now when cycle now must be simulated, else the
+	// first cycle anything can happen; SkipTo replays the bookkeeping of
+	// the dead cycles [from, to) in bulk.
+	NextEvent(now int64) int64
+	SkipTo(from, to int64)
+	// Livelock builds the watchdog diagnostic at cycle now, sinceCommit
+	// cycles after the watched count last moved; it wraps ErrLivelock.
+	Livelock(now, sinceCommit int64, traceLen int) error
 }
 
-// RunTraceWith simulates tr to completion on a single core built from
-// cfg and hcfg under opts, returning the run summary. This is the
-// baseline configuration of every experiment; the fused and Fg-STP
-// modes live in internal/corefusion and internal/core.
-func RunTraceWith(cfg Config, hcfg mem.HierarchyConfig, tr *trace.Trace, opts RunOptions) (stats.Run, error) {
-	hier, err := mem.NewHierarchy(hcfg)
-	if err != nil {
-		return stats.Run{}, err
-	}
-	core, err := NewCore(cfg, hier, NewTraceStream(tr), nil)
-	if err != nil {
-		return stats.Run{}, err
-	}
-	core.SetEventSink(opts.Sink, 0)
-	now, err := Drain(core, tr.Len())
-	if err != nil {
-		return stats.Run{}, err
-	}
-	return Summarize(core, tr, "single", now), nil
-}
-
-// Drain cycles the core until it is done and returns the final cycle
-// count, jumping the clock over dead spans via NextEvent/SkipTo (see
-// skip.go). A livelocked simulation — no commit for LivelockWindow
-// cycles, or the absolute per-instruction cycle limit exceeded —
-// returns a *LivelockError wrapping ErrLivelock instead of spinning
-// forever.
-func Drain(core *Core, traceLen int) (int64, error) {
-	total, _, err := drain(core, traceLen, true, 0)
+// Drain runs m over a traceLen-instruction trace to completion,
+// jumping the clock over dead spans, and returns the final cycle count
+// (see Run).
+func Drain(m Stepper, traceLen int) (int64, error) {
+	total, _, err := Run(m, traceLen, true, 0)
 	return total, err
 }
 
 // DrainTicked is Drain without event-driven skipping: every cycle is
-// simulated individually. It exists for the skip-vs-tick differential
-// tests; both paths must produce identical reports and cycle counts.
-func DrainTicked(core *Core, traceLen int) (int64, error) {
-	total, _, err := drain(core, traceLen, false, 0)
+// simulated individually. It is the reference the skip-vs-tick
+// differential tests compare Drain against; both must produce
+// identical reports and cycle counts.
+func DrainTicked(m Stepper, traceLen int) (int64, error) {
+	total, _, err := Run(m, traceLen, false, 0)
 	return total, err
 }
 
-// drain is the one run loop behind Drain, DrainTicked and
-// DrainMeasured. skip enables event-driven time advance; warmEnd is the
-// cycle by which the first warmInsts instructions had all committed
-// (total when they never did).
-func drain(core *Core, traceLen int, skip bool, warmInsts uint64) (total, warmEnd int64, err error) {
+// Run is the one drain loop: it cycles m until it has drained and
+// returns the final cycle count and warmEnd, the cycle by which the
+// watched count first reached warmInsts (total when it never did) — the
+// boundary between a sampled slice's warmup and measured regions. skip
+// enables event-driven time advance. A livelocked run — no progress for
+// LivelockWindow cycles, or past the absolute per-instruction cycle
+// limit — returns m.Livelock's diagnostic instead of spinning forever.
+func Run(m Stepper, traceLen int, skip bool, warmInsts uint64) (total, warmEnd int64, err error) {
 	limit := int64(traceLen+1000) * maxCyclesPerInst
 	var now, lastProgress int64
+	committed, done := m.Progress()
+	last := committed
 	warmEnd = -1
-	lastCommitted := core.Committed()
-	if lastCommitted >= warmInsts {
+	if committed >= warmInsts {
 		warmEnd = 0
 	}
 	// idle: the last ticked cycle moved nothing, so the next one may be
 	// dead. After a busy cycle NextEvent almost always answers "now",
 	// and ticking a dead cycle is exact anyway, so the loop asks only
-	// after an idle one.
+	// after an idle one. A dead span commits nothing and cannot finish
+	// the run, so committed and done carry across a skip unchanged.
 	idle := true
-	for !core.Done() {
-		if c := core.Committed(); c != lastCommitted {
-			lastCommitted, lastProgress = c, now
+	for !done {
+		if committed != last {
+			last, lastProgress = committed, now
 		}
 		if now-lastProgress > LivelockWindow || now > limit {
-			return now, now, &LivelockError{
-				Core:        core.Config().Name,
-				Cycles:      now,
-				SinceCommit: now - lastProgress,
-				Committed:   lastCommitted,
-				TraceLen:    traceLen,
-				InFlight:    core.InFlight(),
-			}
+			return now, now, m.Livelock(now, now-lastProgress, traceLen)
 		}
 		if skip && idle {
-			if next := core.NextEvent(now, nil); next > now {
+			if next := m.NextEvent(now); next > now {
 				// Clamp so the watchdog fires at exactly the cycle a
 				// ticked run would have reached before tripping.
 				if w := lastProgress + LivelockWindow + 1; next > w {
@@ -144,17 +131,17 @@ func drain(core *Core, traceLen int, skip bool, warmInsts uint64) (total, warmEn
 				if next > limit+1 {
 					next = limit + 1
 				}
-				core.SkipTo(now, next)
+				m.SkipTo(now, next)
 				now = next
 				idle = false // next is an event (or the watchdog fires)
 				continue
 			}
 		}
-		work := core.Activity()
-		core.Cycle(now)
+		var moved bool
+		committed, done, moved = m.Step(now)
 		now++
-		idle = core.Activity() == work
-		if warmEnd < 0 && core.Committed() >= warmInsts {
+		idle = !moved
+		if warmEnd < 0 && committed >= warmInsts {
 			warmEnd = now
 		}
 	}
@@ -162,6 +149,29 @@ func drain(core *Core, traceLen int, skip bool, warmInsts uint64) (total, warmEn
 		warmEnd = now
 	}
 	return now, warmEnd, nil
+}
+
+// Progress implements Stepper: committed instructions and whether the
+// core has drained.
+func (c *Core) Progress() (uint64, bool) { return c.rpt.Committed, c.Done() }
+
+// Step implements Stepper: one Cycle, reported.
+func (c *Core) Step(now int64) (committed uint64, done, moved bool) {
+	work := c.Activity()
+	c.Cycle(now)
+	return c.rpt.Committed, c.Done(), c.Activity() != work
+}
+
+// Livelock implements Stepper: a snapshot of the stalled core.
+func (c *Core) Livelock(now, sinceCommit int64, traceLen int) error {
+	return &LivelockError{
+		Core:        c.cfg.Name,
+		Cycles:      now,
+		SinceCommit: sinceCommit,
+		Committed:   c.rpt.Committed,
+		TraceLen:    traceLen,
+		InFlight:    c.rob.len(),
+	}
 }
 
 // Summarize converts a finished core's report into a stats.Run.

@@ -10,10 +10,10 @@ package ooo
 // reads them out, and SkipTo replays, in bulk, the only mutations a
 // ticked run of the dead span would have made: cycle counters,
 // CPI-stack attribution and per-cycle stall counters. Ticking a dead
-// cycle leaves the same state as skipping it, so the run loops in
-// run.go (and internal/core for the two-core machine) ask NextEvent
-// only after a ticked cycle that moved nothing, and jump the clock
-// across the dead span it reports. The committed evaluation output is
+// cycle leaves the same state as skipping it, so the one run loop in
+// run.go, which drives the two-core machine of internal/core too, asks
+// NextEvent only after a ticked cycle that moved nothing and jumps the
+// clock across the dead span it reports. The committed evaluation output is
 // byte-identical to the ticked engine by construction, and the
 // differential tests in skip_test.go check it over randomized configs
 // and traces.
@@ -25,17 +25,6 @@ package ooo
 // cycle the ticked watchdog would fire.
 const NoEvent = int64(1) << 62
 
-// CommitGate is the lookahead counterpart of Hooks.CanCommit: given the
-// ROB-head sequence number g, GateOpenAt returns the earliest cycle
-// >= now at which the hook could allow g to retire, assuming no state
-// changes before then, or NoEvent when that cycle is not computable
-// from current state (the change that opens the gate is then itself an
-// event on some core, which ends the skip). A nil gate means commit is
-// gated by completion alone (Hooks == nil).
-type CommitGate interface {
-	GateOpenAt(g uint64, now int64) int64
-}
-
 // NextEvent returns now when cycle now could retire, issue, dispatch or
 // fetch anything — i.e. the cycle must be simulated — and otherwise the
 // earliest future cycle at which any of those could first happen.
@@ -46,7 +35,7 @@ type CommitGate interface {
 // the end resolves the head's dependences exactly as the ticked stage
 // would, which is only state-identical once commit and issue are known
 // to be dead this cycle.
-func (c *Core) NextEvent(now int64, gate CommitGate) int64 {
+func (c *Core) NextEvent(now int64) int64 {
 	// Replicate Cycle(now)'s first stage up front: the dispatch
 	// classification below reads the window table, and a ticked cycle
 	// drains the deferred-release queue before dispatch looks anything
@@ -63,8 +52,8 @@ func (c *Core) NextEvent(now int64, gate CommitGate) int64 {
 	if c.rob.len() > 0 {
 		if u := c.rob.front(); u.issued {
 			e := u.completeAt
-			if gate != nil {
-				if g := gate.GateOpenAt(u.Item.GSeq, now); g > e {
+			if c.hooks != nil {
+				if g := c.hooks.GateOpenAt(u.Item.GSeq, now); g > e {
 					e = g
 				}
 			}

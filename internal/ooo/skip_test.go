@@ -129,7 +129,7 @@ func TestSkipEngagesOnMemoryBound(t *testing.T) {
 	}
 	var now, sim int64
 	for !core.Done() {
-		if next := core.NextEvent(now, nil); next > now {
+		if next := core.NextEvent(now); next > now {
 			core.SkipTo(now, next)
 			now = next
 			continue
@@ -138,7 +138,7 @@ func TestSkipEngagesOnMemoryBound(t *testing.T) {
 		now++
 		sim++
 		if now > int64(tr.Len())*2000 {
-			t.Fatalf("livelock: %d cycles, %d committed", now, core.Committed())
+			t.Fatalf("livelock: %d cycles, %d committed", now, core.Report().Committed)
 		}
 	}
 	if sim*2 > now {

@@ -356,9 +356,6 @@ func branchTaken(op Opcode, a, b uint64) bool {
 	return false
 }
 
-// PCIndex returns the instruction index the executor will execute next.
-func (e *Executor) PCIndex() int { return e.pc }
-
 // RunUntil executes instructions until the executor is about to execute
 // instruction index idx (or has halted), returning the number executed.
 // Use it to skip a program's initialisation phase before tracing.

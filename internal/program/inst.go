@@ -150,10 +150,6 @@ func (o Opcode) Class() isa.Class {
 // IsBranch reports whether the opcode is a conditional branch.
 func (o Opcode) IsBranch() bool { return o >= Beq && o <= Bge }
 
-// IsJump reports whether the opcode is an unconditional control
-// transfer (jump, call, return).
-func (o Opcode) IsJump() bool { return o >= J && o <= Ret }
-
 // Inst is one static instruction. The operand fields a given opcode
 // uses follow the assembler forms documented on the Opcode constants;
 // unused register fields hold isa.RegNone.

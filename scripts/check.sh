@@ -6,6 +6,10 @@
 #                   in order: SteerDecision's only caller, run past the
 #                   2,048-entry medium steering ring so its reads wrap
 #                   it (reading an overwritten decision panics)
+#   examples        every other example (quickstart, ablation, adaptive,
+#                   energy, pipeview, sampling, specsweep) at a small
+#                   budget must exit 0: they drive the run, restore and
+#                   Machine APIs, which go build only compiles
 #   bench vet       go vet of the bench/ module (its own go.mod, so
 #                   ./... above does not reach it), plain and with the
 #                   traced run's build tag: an internal API change that
@@ -61,6 +65,15 @@ go build ./...
 
 echo "== tracetool (steering decisions past the ring)"
 go run ./examples/tracetool -workload gcc -insts 20000 -steer 5000 >/dev/null
+
+echo "== examples smoke (every other example at a small budget)"
+go run ./examples/quickstart >/dev/null
+go run ./examples/ablation -insts 5000 >/dev/null
+go run ./examples/adaptive -insts 5000 >/dev/null
+go run ./examples/energy -insts 5000 >/dev/null
+go run ./examples/pipeview -insts 2000 >/dev/null
+go run ./examples/sampling -insts 20000 -interval 2000 -warmup 1000 -k 3 >/dev/null
+go run ./examples/specsweep -insts 3000 -machine small >/dev/null
 
 echo "== go vet bench/ (plain and -tags fgstpperf_trace)"
 go -C bench vet ./...
