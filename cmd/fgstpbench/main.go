@@ -3,11 +3,13 @@
 // figure of the paper as reconstructed in DESIGN.md; EXPERIMENTS.md
 // records the measured results against the paper's reported shape.
 //
-// Experiments fan their independent simulations out over a worker pool
-// (internal/sched); -jobs sets the worker count. Results are
+// The evaluation plans every distinct simulation cell of the chosen
+// experiments, simulates them workload by workload on one worker pool
+// (internal/sched; -jobs sets the worker count), releasing each trace
+// after its last cell, then renders the experiments. Results are
 // byte-identical for any -jobs value and any -format, so stdout can be
-// diffed between serial and parallel runs — wall-time and memory
-// reporting goes to stderr.
+// diffed between serial and parallel runs — the pool's footer, wall
+// time and peak RSS go to stderr.
 //
 // Usage:
 //
@@ -23,9 +25,9 @@
 //	fgstpbench -cpuprofile cpu.pprof   # write a CPU profile (go tool pprof)
 //	fgstpbench -memprofile mem.pprof   # write a heap profile at exit
 //
-// -hotblock is accepted and ignored: it switched the hot-block timing
-// memoization engine, which is gone (see DESIGN.md, "Removed: hot-block
-// timing memoization").
+// -hotblock is accepted and ignored: the timing-memoization engines it
+// switched are gone (CHANGES.md holds their history; DESIGN.md, "Event-
+// driven time advance", says when the flag goes).
 //
 // Failed simulation cells never abort the evaluation: they render as
 // FAIL(reason) in the tables, drop out of the geomeans (noted per
@@ -127,9 +129,9 @@ func run() int {
 		ids = []string{*exp}
 	}
 
-	// One session across all experiments: the single-flight caches
-	// capture each workload trace and baseline run once for the whole
-	// invocation instead of once per experiment.
+	// One session across all experiments: each workload trace is
+	// captured once, and each distinct cell simulated once, for the
+	// whole invocation instead of once per experiment.
 	session := experiments.NewSession(*insts, *jobs)
 	if *inject != "" {
 		if _, ok := workloads.ByName(*inject); !ok {
@@ -147,30 +149,28 @@ func run() int {
 
 	fmt.Fprintf(os.Stderr, "fgstpbench: %d worker(s)\n", sched.Workers(*jobs))
 	total := time.Now()
-	failedCells := 0
-	results := make([]*experiments.Result, 0, len(ids))
-	for _, id := range ids {
-		start := time.Now()
-		res, err := session.RunCtx(ctx, id)
-		if err != nil {
-			// Unknown experiment id: a usage error, not a degraded run.
-			fmt.Fprintln(os.Stderr, "fgstpbench:", err)
-			return 2
-		}
-		if ctx.Err() != nil {
-			fmt.Fprintf(os.Stderr, "fgstpbench: interrupted during %s; aborting evaluation\n", id)
-			return 2
-		}
-		failedCells += len(res.Failures)
-		results = append(results, res)
-		fmt.Fprintf(os.Stderr, "fgstpbench: %s in %.2fs\n", id, time.Since(start).Seconds())
+	ev, err := session.Evaluate(ctx, ids)
+	if ctx.Err() != nil {
+		fmt.Fprintln(os.Stderr, "fgstpbench: interrupted; aborting evaluation")
+		return 2
 	}
-	// Render at the end so stdout carries only the chosen format;
-	// timing lives on stderr either way.
-	if err := experiments.WriteFormat(os.Stdout, *format, *insts, results); err != nil {
+	if err != nil {
+		// Unknown experiment id: a usage error, not a degraded run.
 		fmt.Fprintln(os.Stderr, "fgstpbench:", err)
 		return 2
 	}
+	failedCells := 0
+	for _, res := range ev.Results {
+		failedCells += len(res.Failures)
+	}
+	// Render at the end so stdout carries only the chosen format;
+	// timing lives on stderr either way.
+	if err := experiments.WriteFormat(os.Stdout, *format, *insts, ev.Results); err != nil {
+		fmt.Fprintln(os.Stderr, "fgstpbench:", err)
+		return 2
+	}
+	fmt.Fprintf(os.Stderr, "fgstpbench: %d cells on %d workers, busy %.2f s over %.2f s (utilization %.2f), at most %d traces resident\n",
+		ev.Tasks, ev.Workers, ev.Busy.Seconds(), ev.Wall.Seconds(), ev.Utilization(), ev.PeakTraces)
 	fmt.Fprintf(os.Stderr, "fgstpbench: total %.2fs (%d experiment(s), -jobs %d)\n",
 		time.Since(total).Seconds(), len(ids), sched.Workers(*jobs))
 	if rss, ok := metrics.PeakRSS(); ok {

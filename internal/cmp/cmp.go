@@ -127,7 +127,7 @@ func build(m config.Machine, mode Mode, tr *trace.Trace, snap *checkpoint.Snapsh
 		if mode == ModeFusion {
 			ccfg = corefusion.FusedConfig(m)
 		}
-		hier, err := mem.NewHierarchy(hierarchy(m, mode))
+		hier, err := mem.NewHierarchy(Hierarchy(m, mode))
 		if err != nil {
 			return nil, nil, err
 		}
@@ -171,10 +171,10 @@ func build(m config.Machine, mode Mode, tr *trace.Trace, snap *checkpoint.Snapsh
 	return nil, nil, fmt.Errorf("unknown mode %q", mode)
 }
 
-// hierarchy is the cache geometry of mode's core: the per-core one,
-// which each of the Fg-STP pair's private hierarchies has, or the fused
-// core's doubled L1s.
-func hierarchy(m config.Machine, mode Mode) mem.HierarchyConfig {
+// Hierarchy is the cache geometry of mode's core, and so the one its
+// checkpoints warm: the per-core one, which each of the Fg-STP pair's
+// private hierarchies has, or the fused core's doubled L1s.
+func Hierarchy(m config.Machine, mode Mode) mem.HierarchyConfig {
 	if mode == ModeFusion {
 		return corefusion.FusedHierarchy(m)
 	}

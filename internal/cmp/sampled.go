@@ -39,11 +39,23 @@ func NewSliceSim(m config.Machine, mode Mode, tr *trace.Trace, boundaries []int)
 	if len(sorted) > 0 && sorted[0] < 0 {
 		return nil, fmt.Errorf("sampled: negative slice boundary %d", sorted[0])
 	}
-	snaps, err := checkpoint.Capture(m.Core.Predictor, hierarchy(m, mode), tr, sorted)
+	snaps, err := checkpoint.Capture(m.Core.Predictor, Hierarchy(m, mode), tr, sorted)
 	if err != nil {
 		return nil, err
 	}
 	return &SliceSim{m: m, mode: mode, tr: tr, snaps: snaps}, nil
+}
+
+// WithMode returns a slice simulator of mode over s's trace and
+// checkpoints, so modes that warm one Hierarchy (single and Fg-STP)
+// share a capture pass. A mode that warms another is an error.
+func (s *SliceSim) WithMode(mode Mode) (*SliceSim, error) {
+	if Hierarchy(s.m, mode) != Hierarchy(s.m, s.mode) {
+		return nil, fmt.Errorf("sampled: %s checkpoints do not fit %s", s.mode, mode)
+	}
+	c := *s
+	c.mode = mode
+	return &c, nil
 }
 
 // Run simulates the slice [wstart, end) in detail from the checkpoint

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"sync"
 	"testing"
 
 	"repro/internal/config"
@@ -87,6 +88,71 @@ func TestSliceSimMidTraceRepeatable(t *testing.T) {
 				t.Errorf("repeat run diverged: %d/%d vs %d/%d", c2, i2, c1, i1)
 			}
 		})
+	}
+}
+
+// TestSliceSimSharedCapture: single and Fg-STP warm the same
+// geometry, so an Fg-STP simulator rebound from single's checkpoints
+// must measure every slice exactly as one with its own capture pass —
+// with both modes' slices running concurrently from the one shared
+// capture, which -race checks for writes to the shared snapshots. Core
+// Fusion's fused L1s are another geometry and must be refused.
+func TestSliceSimSharedCapture(t *testing.T) {
+	w, ok := workloads.ByName("gcc")
+	if !ok {
+		t.Fatal("unknown workload gcc")
+	}
+	tr := w.Trace(20_000)
+	m := config.Medium()
+	type slice struct{ wstart, start, end int }
+	slices := []slice{{3_000, 5_000, 8_000}, {9_000, 12_000, 14_000}, {15_000, 17_000, 20_000}}
+	var bounds []int
+	for _, sl := range slices {
+		bounds = append(bounds, sl.wstart)
+	}
+	single, err := NewSliceSim(m, ModeSingle, tr, bounds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := single.WithMode(ModeFusion); err == nil {
+		t.Error("single checkpoints rebound to corefusion")
+	}
+	shared, err := single.WithMode(ModeFgSTP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	own, err := NewSliceSim(m, ModeFgSTP, tr, bounds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sims := []*SliceSim{single, shared, single, shared}
+	got := make([][]uint64, len(sims))
+	var wg sync.WaitGroup
+	for i, sim := range sims {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, sl := range slices {
+				cycles, _, err := sim.Run(sl.wstart, sl.start, sl.end)
+				if err != nil {
+					t.Error(err)
+				}
+				got[i] = append(got[i], cycles)
+			}
+		}()
+	}
+	wg.Wait()
+	for k, sl := range slices {
+		want, _, err := own.Run(sl.wstart, sl.start, sl.end)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got[1][k] != want || got[3][k] != want {
+			t.Errorf("slice %v: shared-capture fgstp %d/%d cycles, own capture %d", sl, got[1][k], got[3][k], want)
+		}
+		if got[0][k] != got[2][k] || got[0][k] == want {
+			t.Errorf("slice %v: single %d/%d cycles, fgstp %d: want single repeatable and apart from fgstp", sl, got[0][k], got[2][k], want)
+		}
 	}
 }
 

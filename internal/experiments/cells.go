@@ -1,8 +1,10 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
-	"sync"
+	"slices"
+	"sync/atomic"
 
 	"repro/internal/cmp"
 	"repro/internal/config"
@@ -64,6 +66,14 @@ func (r *runner) cellRun(m config.Machine, mode cmp.Mode, w workloads.Workload) 
 		return stats.Run{}, err
 	}
 	return r.memo.Do(string(mode)+"/"+w.Name+"/"+string(cfg), func() (stats.Run, error) {
+		if r.plan != nil {
+			*r.plan = append(*r.plan, Cell{Machine: m, Mode: mode, Workload: w.Name})
+			// A plausible run keeps every aggregation path alive (energy
+			// needs active_cores); the planner's documents are discarded.
+			run := stats.Run{Workload: w.Name, Mode: string(mode), Cycles: 1, Insts: 1}
+			run.Set("active_cores", 1)
+			return run, nil
+		}
 		tr := r.traceOf(w)
 		if r.cell != nil {
 			return r.cell(m, mode, w, tr)
@@ -82,40 +92,108 @@ type Cell struct {
 	Workload string
 }
 
-// Cells enumerates the simulation cells experiment id will run at the
-// given per-cell instruction budget (0 picks the default of 100k), in
-// deterministic submission order, by executing the experiment under a
-// recording stub cell runner — no engine simulation runs, only trace
-// capture. The enumeration mirrors execution exactly: each distinct
-// (mode, workload, CellConfig) cell appears once, in the order the
-// session memo first asks for it.
-//
-// E12 is the one experiment that does not decompose into cmp cells
-// (its phase-granularity simulations run inside internal/adaptive), so
-// enumerating it is an error rather than an expensive full run.
+// Cells enumerates the simulation cells experiment id will run at
+// budget insts, with the planner Session.Evaluate uses: each distinct
+// (mode, workload, CellConfig) cell once, in the order the session memo
+// first asks for it. Nothing is simulated and no trace is captured.
+// E12's phase-level simulations run inside internal/adaptive, not as
+// cells, so enumerating it is an error.
 func Cells(id string, insts uint64) ([]Cell, error) {
 	if id == "E12" {
 		return nil, fmt.Errorf("experiment E12 does not decompose into simulation cells (phase-level runs live in internal/adaptive)")
 	}
-	// One worker keeps the recording in submission order.
-	s := NewSession(insts, 1)
-	var mu sync.Mutex
-	var cells []Cell
-	s.SetCellRunner(func(m config.Machine, mode cmp.Mode, w workloads.Workload, _ *trace.Trace) (stats.Run, error) {
-		mu.Lock()
-		cells = append(cells, Cell{Machine: m, Mode: mode, Workload: w.Name})
-		mu.Unlock()
-		// A minimal plausible run keeps every aggregation path alive
-		// (the energy model rejects runs without an active_cores
-		// counter); the rendered result is discarded.
-		run := stats.Run{Workload: w.Name, Mode: string(mode), Cycles: 1, Insts: 1}
-		run.Set("active_cores", 1)
-		return run, nil
+	return planner(insts, "").cellsOf([]string{id})
+}
+
+// planner returns a runner that records each clean cell the memo first
+// asks for and answers it with a stub run, on one worker so the record
+// keeps the memo's order. A poisoned Fg-STP cell, never memoised, is
+// not recorded and fails. No trace is captured.
+func planner(insts uint64, poison string) *runner {
+	p := newRunner(insts, 1)
+	p.poison, p.plan = poison, new([]Cell)
+	return p
+}
+
+// cellsOf runs ids on planner p and returns the cells it recorded; the
+// error is an unknown id's. E12 has no cells and is skipped. An
+// experiment that fails here (E11 stops at a poisoned cell) has
+// recorded the cells it reached; rendering reports its real error.
+func (p *runner) cellsOf(ids []string) ([]Cell, error) {
+	for _, id := range ids {
+		if id == "E12" {
+			continue
+		}
+		if _, err := p.run(id); err != nil && !ValidID(id) {
+			return nil, err
+		}
+	}
+	return *p.plan, nil
+}
+
+// execute simulates the planned cells into the session memo as one task
+// list, workload by workload (workloads in first-appearance order, each
+// one's cells in plan order). A workload's first cell captures its
+// trace and its last forgets it, so at most one trace per worker is
+// resident. A failed cell is not memoised and simulates again when its
+// experiment renders.
+func (r *runner) execute(ctx context.Context, cells []Cell) Pool {
+	first := map[string]int{}
+	left := map[string]*atomic.Int64{}
+	for _, c := range cells {
+		if _, ok := first[c.Workload]; !ok {
+			first[c.Workload] = len(first)
+			left[c.Workload] = new(atomic.Int64)
+		}
+		left[c.Workload].Add(1)
+	}
+	slices.SortStableFunc(cells, func(a, b Cell) int { return first[a.Workload] - first[b.Workload] })
+	_, _, pool := mapTimed(ctx, r.jobs, cells, func(c Cell) (struct{}, error) {
+		defer func() {
+			if left[c.Workload].Add(-1) == 0 {
+				r.traces.Forget(c.Workload)
+			}
+		}()
+		w, _ := workloads.ByName(c.Workload)
+		_, err := r.cellRun(c.Machine, c.Mode, w)
+		return struct{}{}, err
 	})
-	if _, err := s.Run(id); err != nil {
+	return pool
+}
+
+// Evaluation is Session.Evaluate's outcome: the results in id order,
+// the cell pool's use and the most traces resident at once. Only
+// Results enter a rendered document.
+type Evaluation struct {
+	Results []*Result
+	Pool
+	PeakTraces int
+}
+
+// Evaluate runs experiments ids on the session in three phases: plan
+// their distinct clean cells (see planner), execute them workload by
+// workload so each trace is resident only while its cells run (see
+// execute), then render each experiment as RunCtx does. Clean cells
+// are memo hits by then; poisoned and failed cells, and any the plan
+// missed, simulate while rendering, so the results are byte-identical
+// to RunCtx for each id in turn whatever the plan. The error is an
+// unknown id's, an experiment's, or ctx's once ctx is done (queued
+// cells are then skipped and the results must not be rendered).
+func (s *Session) Evaluate(ctx context.Context, ids []string) (*Evaluation, error) {
+	cells, err := planner(s.r.insts, s.r.poison).cellsOf(ids)
+	if err != nil {
 		return nil, err
 	}
-	return cells, nil
+	ev := &Evaluation{Pool: s.r.execute(ctx, cells)}
+	for _, id := range ids {
+		res, err := s.RunCtx(ctx, id)
+		if err != nil {
+			return nil, err
+		}
+		ev.Results = append(ev.Results, res)
+	}
+	ev.PeakTraces = s.r.traces.Peak()
+	return ev, ctx.Err()
 }
 
 // allIDs is the hoisted experiment id universe: the paper set in order,

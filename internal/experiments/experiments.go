@@ -95,8 +95,8 @@ type runner struct {
 	// fault injected (empty = none); see Session.Poison.
 	poison string
 	// traces caches captured workload traces. Single-flight: under the
-	// pool, the first job to ask captures while the rest wait, so each
-	// workload is captured exactly once per session.
+	// pool, the first job to ask captures while the rest wait. Evaluate
+	// forgets each one after the last cell it planned for it.
 	traces sched.Cache[string, *trace.Trace]
 	// memo holds every clean cell the session has run, keyed by mode,
 	// workload and canonical cell config (see cellRun in cells.go), so
@@ -108,6 +108,8 @@ type runner struct {
 	// Poisoned Fg-STP cells bypass it: degraded runs are never
 	// memoisable.
 	cell CellFunc
+	// plan, when non-nil, makes the runner a planner (see cells.go).
+	plan *[]Cell
 }
 
 func newRunner(insts uint64, jobs int) *runner {
@@ -131,6 +133,9 @@ func (r *runner) traceOf(w workloads.Workload) *trace.Trace {
 // so concurrent cells never share one.
 func (r *runner) runOf(m config.Machine, mode cmp.Mode, w workloads.Workload) (stats.Run, error) {
 	if mode == cmp.ModeFgSTP && w.Name == r.poison {
+		if r.plan != nil {
+			return stats.Run{}, cmp.ErrLivelock // what the stalled channel ends in
+		}
 		return cmp.RunOpts(m, mode, r.traceOf(w), cmp.Options{Faults: faults.ChannelStall(0)})
 	}
 	return r.cellRun(m, mode, w)
@@ -230,17 +235,6 @@ func (r *runner) gridOutcomes(m config.Machine, ws []workloads.Workload, modes [
 	return out, failures
 }
 
-// speedupOutcomes fans out one (single, fgstp) pair per workload and
-// returns each workload's Fg-STP speedup over the single core with its
-// per-workload error, both in workload order — the common shape of the
-// ablation and every sensitivity sweep. Failures never abort the
-// batch.
-func (r *runner) speedupOutcomes(m config.Machine, ws []workloads.Workload) ([]float64, []error) {
-	return sched.MapAllCtx(r.ctx, r.jobs, ws, func(w workloads.Workload) (float64, error) {
-		return r.speedup(m, w)
-	})
-}
-
 // speedup runs one (single, fgstp) cell pair and returns the Fg-STP
 // speedup over the single core.
 func (r *runner) speedup(m config.Machine, w workloads.Workload) (float64, error) {
@@ -268,10 +262,10 @@ func ExtensionIDs() []string { return []string{"E11", "E12"} }
 // Session runs experiments with shared single-flight caches: across an
 // `-experiment all` run each workload trace is captured once and each
 // distinct cell simulated once, no matter how many experiments (or
-// concurrent jobs within one) ask for it. Sessions are
-// safe for use from one goroutine at a time; the parallelism lives in
-// the per-experiment job lists, which fan out over the session's worker
-// count.
+// concurrent jobs within one) ask for it. Sessions are safe for use
+// from one goroutine at a time; the parallelism lives in the job lists
+// (Evaluate's cell list, each experiment's), which fan out over the
+// session's worker count.
 type Session struct {
 	r *runner
 }
@@ -320,8 +314,9 @@ func (s *Session) RunCtx(ctx context.Context, id string) (*Result, error) {
 }
 
 // Run executes one experiment on the session.
-func (s *Session) Run(id string) (*Result, error) {
-	r := s.r
+func (s *Session) Run(id string) (*Result, error) { return s.r.run(id) }
+
+func (r *runner) run(id string) (*Result, error) {
 	switch id {
 	case "E1":
 		return r.e1()
@@ -538,16 +533,11 @@ func (r *runner) e5() (*Result, error) {
 	}
 	tb := stats.NewTable("Comm latency sweep", "latency", "geomean speedup", "vs 1-cycle")
 	var base float64
-	var failures []string
-	total := 0
+	var sw sweep
 	for _, lat := range []int{1, 2, 4, 8} {
 		m := config.Medium()
 		m.FgSTP.CommLatency = lat
-		gm, fails := r.fgstpGeomean(res, fmt.Sprintf("lat%d", lat), m)
-		for _, f := range fails {
-			failures = append(failures, fmt.Sprintf("lat%d/%s", lat, f))
-		}
-		total += len(workloads.All())
+		gm := r.fgstpGeomean(res, &sw, fmt.Sprintf("lat%d", lat), m)
 		if lat == 1 {
 			base = gm
 		}
@@ -555,7 +545,7 @@ func (r *runner) e5() (*Result, error) {
 		res.metric(fmt.Sprintf("geomean_lat%d", lat), gm)
 	}
 	res.Tables = append(res.Tables, tb)
-	degrade(res, failures, total)
+	degrade(res, sw.failures, sw.total)
 	return res, nil
 }
 
@@ -571,16 +561,11 @@ func (r *runner) e6() (*Result, error) {
 	}
 	tb := stats.NewTable("Bandwidth sweep (latency 2, queue 16)",
 		"values/cycle", "geomean speedup")
-	var failures []string
-	total := 0
+	var sw sweep
 	for _, bw := range []int{1, 2, 4} {
 		m := config.Medium()
 		m.FgSTP.CommBandwidth = bw
-		gm, fails := r.fgstpGeomean(res, fmt.Sprintf("bw%d", bw), m)
-		for _, f := range fails {
-			failures = append(failures, fmt.Sprintf("bw%d/%s", bw, f))
-		}
-		total += len(workloads.All())
+		gm := r.fgstpGeomean(res, &sw, fmt.Sprintf("bw%d", bw), m)
 		tb.AddRowf(fmt.Sprintf("%d", bw), gm)
 		res.metric(fmt.Sprintf("geomean_bw%d", bw), gm)
 	}
@@ -592,11 +577,7 @@ func (r *runner) e6() (*Result, error) {
 		m := config.Medium()
 		m.FgSTP.CommLatency = 8
 		m.FgSTP.CommQueue = q
-		gm, fails := r.fgstpGeomean(res, fmt.Sprintf("q%d", q), m)
-		for _, f := range fails {
-			failures = append(failures, fmt.Sprintf("q%d/%s", q, f))
-		}
-		total += len(workloads.All())
+		gm := r.fgstpGeomean(res, &sw, fmt.Sprintf("q%d", q), m)
 		tq.AddRowf(fmt.Sprintf("%d", q), gm)
 		res.metric(fmt.Sprintf("geomean_q%d", q), gm)
 	}
@@ -611,16 +592,12 @@ func (r *runner) e6() (*Result, error) {
 		m := config.Medium()
 		m.FgSTP.Steering = "roundrobin"
 		m.FgSTP.CommBandwidth = bw
-		gm, fails := r.fgstpGeomean(res, fmt.Sprintf("rr-bw%d", bw), m)
-		for _, f := range fails {
-			failures = append(failures, fmt.Sprintf("rr-bw%d/%s", bw, f))
-		}
-		total += len(workloads.All())
+		gm := r.fgstpGeomean(res, &sw, fmt.Sprintf("rr-bw%d", bw), m)
 		ts.AddRowf(fmt.Sprintf("%d", bw), gm)
 		res.metric(fmt.Sprintf("geomean_stress_bw%d", bw), gm)
 	}
 	res.Tables = append(res.Tables, ts)
-	degrade(res, failures, total)
+	degrade(res, sw.failures, sw.total)
 	return res, nil
 }
 
@@ -633,21 +610,16 @@ func (r *runner) e7() (*Result, error) {
 		Notes: []string{"Gains grow with the partitioning window and saturate past the cores' combined ROB reach."},
 	}
 	tb := stats.NewTable("Window sweep", "window", "geomean speedup")
-	var failures []string
-	total := 0
+	var sw sweep
 	for _, win := range []int{64, 128, 256, 512, 1024} {
 		m := config.Medium()
 		m.FgSTP.Window = win
-		gm, fails := r.fgstpGeomean(res, fmt.Sprintf("win%d", win), m)
-		for _, f := range fails {
-			failures = append(failures, fmt.Sprintf("win%d/%s", win, f))
-		}
-		total += len(workloads.All())
+		gm := r.fgstpGeomean(res, &sw, fmt.Sprintf("win%d", win), m)
 		tb.AddRowf(fmt.Sprintf("%d", win), gm)
 		res.metric(fmt.Sprintf("geomean_win%d", win), gm)
 	}
 	res.Tables = append(res.Tables, tb)
-	degrade(res, failures, total)
+	degrade(res, sw.failures, sw.total)
 	return res, nil
 }
 
@@ -666,14 +638,8 @@ func (r *runner) e8() (*Result, error) {
 		"squash/kinst", "bpred acc")
 	m := config.Medium()
 	ws := workloads.All()
-	type row struct {
-		g     stats.Run
-		insts int
-	}
-	rows, errs := sched.MapAllCtx(r.ctx, r.jobs, ws, func(w workloads.Workload) (row, error) {
-		tr := r.traceOf(w)
-		g, err := r.runOf(m, cmp.ModeFgSTP, w)
-		return row{g, tr.Len()}, err
+	rows, errs := sched.MapAllCtx(r.ctx, r.jobs, ws, func(w workloads.Workload) (stats.Run, error) {
+		return r.runOf(m, cmp.ModeFgSTP, w)
 	})
 	var failures []string
 	var balSum, replSum, commSum float64
@@ -685,8 +651,9 @@ func (r *runner) e8() (*Result, error) {
 			failures = append(failures, fmt.Sprintf("%s: %v", w.Name, errs[i]))
 			continue
 		}
-		g := rows[i].g
-		sq := g.Get("squashes") / float64(rows[i].insts) * 1000
+		// An Fg-STP run commits the whole trace: Insts is its length.
+		g := rows[i]
+		sq := g.Get("squashes") / float64(g.Insts) * 1000
 		tb.AddRowf(w.Name, g.Get("steer_core1_frac"), g.Get("replicated_frac"),
 			g.Get("remote_dep_frac"), g.Get("comm_per_kinst"), sq,
 			g.Get("bpred_accuracy"))
@@ -726,21 +693,16 @@ func (r *runner) e9() (*Result, error) {
 		{"store-sets", func(f *config.FgSTP) { f.UseStoreSets = true }},
 		{"perfect", func(f *config.FgSTP) { f.DepPredBits = -1 }},
 	}
-	var failures []string
-	total := 0
+	var sw sweep
 	for _, v := range variants {
 		m := config.Medium()
 		v.mutate(&m.FgSTP)
-		gm, fails := r.fgstpGeomean(res, v.name, m)
-		for _, f := range fails {
-			failures = append(failures, fmt.Sprintf("%s/%s", v.name, f))
-		}
-		total += len(workloads.All())
+		gm := r.fgstpGeomean(res, &sw, v.name, m)
 		tb.AddRowf(v.name, gm)
 		res.metric("geomean_"+v.name, gm)
 	}
 	res.Tables = append(res.Tables, tb)
-	degrade(res, failures, total)
+	degrade(res, sw.failures, sw.total)
 	return res, nil
 }
 
@@ -783,23 +745,32 @@ func (r *runner) e10() (*Result, error) {
 	return res, nil
 }
 
+// sweep accumulates a sensitivity sweep's failure lines and attempted
+// cell count over its fgstpGeomean points.
+type sweep struct {
+	failures []string
+	total    int
+}
+
 // fgstpGeomean runs every workload in single and fgstp mode on machine
-// m (one job per workload, fanned out over the pool) and returns the
-// geomean speedup over the workloads that succeeded, plus a
-// "workload: error" line per failure in workload order. Non-positive
-// speedup cells excluded from the geomean are noted on res under
-// label.
-func (r *runner) fgstpGeomean(res *Result, label string, m config.Machine) (float64, []string) {
+// m (one job per workload, fanned out over the pool; failures never
+// abort the batch) and returns the geomean speedup over the workloads
+// that succeeded. Each failure adds a "label/workload: error" line to
+// sw; non-positive speedup cells excluded from the geomean are noted on
+// res under label.
+func (r *runner) fgstpGeomean(res *Result, sw *sweep, label string, m config.Machine) float64 {
 	ws := workloads.All()
-	sp, errs := r.speedupOutcomes(m, ws)
+	sp, errs := sched.MapAllCtx(r.ctx, r.jobs, ws, func(w workloads.Workload) (float64, error) {
+		return r.speedup(m, w)
+	})
+	sw.total += len(ws)
 	var ok []float64
-	var failures []string
 	for i, w := range ws {
 		if errs[i] != nil {
-			failures = append(failures, fmt.Sprintf("%s: %v", w.Name, errs[i]))
+			sw.failures = append(sw.failures, fmt.Sprintf("%s/%s: %v", label, w.Name, errs[i]))
 			continue
 		}
 		ok = append(ok, sp[i])
 	}
-	return notedGeomean(res, label, ok), failures
+	return notedGeomean(res, label, ok)
 }

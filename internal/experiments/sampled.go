@@ -6,6 +6,8 @@ import (
 
 	"repro/internal/cmp"
 	"repro/internal/config"
+	"repro/internal/mem"
+	"repro/internal/sched"
 	"repro/internal/simpoint"
 	"repro/internal/trace"
 )
@@ -73,6 +75,11 @@ type sampler struct {
 	reps       []simpoint.Representative
 	boundaries []int // checkpoint positions: each slice's warmup start
 	err        error
+
+	// sims holds one slice simulator per warmed hierarchy (the predictor
+	// is m's in every mode), single-flight between the estimate tasks:
+	// single and Fg-STP share one checkpoint capture pass.
+	sims sched.Cache[mem.HierarchyConfig, *cmp.SliceSim]
 }
 
 func (s *sampler) choose() {
@@ -91,10 +98,11 @@ func (s *sampler) choose() {
 	}
 }
 
-// estimate fills e with md's sampled estimate: one checkpoint capture
-// pass, then the slices one after another on the calling worker — the
-// report's pool, not a nested fan-out, bounds how many simulations run
-// at once. Aggregation is in representative order, so the estimate is
+// estimate fills e with md's sampled estimate: the checkpoints of md's
+// geometry, captured by the first task to need them, then the slices
+// one after another on the calling worker — the report's pool, not a
+// nested fan-out, bounds how many simulations run at once.
+// Aggregation is in representative order, so the estimate is
 // the same at any pool size. Once ctx is done no further slice starts
 // and ctx's error is returned.
 func (s *sampler) estimate(ctx context.Context, md cmp.Mode, e *SimEstimate) error {
@@ -102,7 +110,12 @@ func (s *sampler) estimate(ctx context.Context, md cmp.Mode, e *SimEstimate) err
 	if s.err != nil {
 		return s.err
 	}
-	sim, err := cmp.NewSliceSim(s.m, md, s.tr, s.boundaries)
+	sim, err := s.sims.Do(cmp.Hierarchy(s.m, md), func() (*cmp.SliceSim, error) {
+		return cmp.NewSliceSim(s.m, md, s.tr, s.boundaries)
+	})
+	if err == nil {
+		sim, err = sim.WithMode(md)
+	}
 	if err != nil {
 		return err
 	}

@@ -61,9 +61,15 @@ type SimReport struct {
 	Errs []error
 	Ests []SimEstimate
 
-	// Tasks counts the pool's tasks (a full run per mode, plus an
-	// estimate per mode when sampling) and Workers its size. Busy sums
-	// the tasks' run times; Wall spans the whole pool.
+	// Pool's tasks are a full run per mode, plus an estimate per mode
+	// when sampling.
+	Pool
+}
+
+// Pool describes how one task list used its worker pool: Tasks tasks on
+// Workers workers, Busy summing the tasks' run times and Wall spanning
+// the whole list.
+type Pool struct {
 	Tasks   int
 	Workers int
 	Busy    time.Duration
@@ -72,11 +78,24 @@ type SimReport struct {
 
 // Utilization is the share of the pool's worker time spent in tasks:
 // Busy over Workers × Wall.
-func (r *SimReport) Utilization() float64 {
-	if r.Workers == 0 || r.Wall <= 0 {
+func (p Pool) Utilization() float64 {
+	if p.Workers == 0 || p.Wall <= 0 {
 		return 0
 	}
-	return float64(r.Busy) / (float64(r.Workers) * float64(r.Wall))
+	return float64(p.Busy) / (float64(p.Workers) * float64(p.Wall))
+}
+
+// mapTimed is sched.MapAllCtx that also reports how the pool was used.
+func mapTimed[T, R any](ctx context.Context, jobs int, items []T, fn func(T) (R, error)) ([]R, []error, Pool) {
+	p := Pool{Tasks: len(items), Workers: min(sched.Workers(jobs), len(items))}
+	var busy atomic.Int64
+	t0 := time.Now()
+	out, errs := sched.MapAllCtx(ctx, jobs, items, func(t T) (R, error) {
+		defer func(start time.Time) { busy.Add(int64(time.Since(start))) }(time.Now())
+		return fn(t)
+	})
+	p.Wall, p.Busy = time.Since(t0), time.Duration(busy.Load())
+	return out, errs, p
 }
 
 // RunSim runs one simulation report, the single entry point of fgstpsim
@@ -111,13 +130,8 @@ func RunSim(ctx context.Context, m config.Machine, tr *trace.Trace, modes []cmp.
 		}
 	}
 	tasks := simTasks(modes, sp != nil)
-	rep.Tasks = len(tasks)
-	rep.Workers = min(sched.Workers(jobs), len(tasks))
-
-	var busy atomic.Int64
-	t0 := time.Now()
-	_, errs := sched.MapAllCtx(ctx, jobs, tasks, func(t simTask) (struct{}, error) {
-		defer func(start time.Time) { busy.Add(int64(time.Since(start))) }(time.Now())
+	var errs []error
+	_, errs, rep.Pool = mapTimed(ctx, jobs, tasks, func(t simTask) (struct{}, error) {
 		if t.estimate {
 			return struct{}{}, sp.estimate(ctx, modes[t.mode], &rep.Ests[t.mode])
 		}
@@ -125,8 +139,6 @@ func RunSim(ctx context.Context, m config.Machine, tr *trace.Trace, modes []cmp.
 		rep.Runs[t.mode], err = jl[t.mode].Run()
 		return struct{}{}, err
 	})
-	rep.Wall = time.Since(t0)
-	rep.Busy = time.Duration(busy.Load())
 	for k, t := range tasks {
 		switch {
 		case errs[k] == nil:

@@ -55,6 +55,25 @@ func TestSimTasksLongestFirst(t *testing.T) {
 	}
 }
 
+// TestSamplerWarmsOncePerGeometry: a report's three concurrent
+// estimates capture checkpoints twice — once for the per-core hierarchy
+// single and Fg-STP share, once for Core Fusion's fused L1s.
+func TestSamplerWarmsOncePerGeometry(t *testing.T) {
+	m, tr := simTestTrace(t)
+	sp := &sampler{m: m, tr: tr, p: SimpointParams{Interval: simTestInterval, Warmup: -1}}
+	modes := cmp.Modes()
+	ests := make([]SimEstimate, len(modes))
+	_, errs := sched.MapAll(len(modes), []int{0, 1, 2}, func(i int) (struct{}, error) {
+		return struct{}{}, sp.estimate(context.Background(), modes[i], &ests[i])
+	})
+	if err := sched.JoinErrors(errs); err != nil {
+		t.Fatal(err)
+	}
+	if n := sp.sims.Len(); n != 2 {
+		t.Fatalf("%d capture passes for %v, want 2", n, modes)
+	}
+}
+
 // serialSimReport composes a sampled report the way fgstpsim and fgstpd
 // did before RunSim: every full run on the pool, then each mode's
 // estimate in turn from one representative choice. It is the reference

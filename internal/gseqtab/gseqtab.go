@@ -154,14 +154,6 @@ func (t *Table[V]) DeleteBelow(cut uint64) {
 	t.below = t.below[:n]
 }
 
-func (t *Table[V]) clearRing() {
-	var zero V
-	for i := range t.key {
-		t.key[i] = 0
-		t.val[i] = zero
-	}
-}
-
 // Len counts live entries (test helper; O(size)).
 func (t *Table[V]) Len() int {
 	n := len(t.spill)

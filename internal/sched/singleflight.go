@@ -11,10 +11,11 @@ import "sync"
 // simulation cells per session, so an `-experiment all` run captures
 // each workload and simulates each distinct cell once — not once per
 // experiment, and not once per concurrent job that happens to ask
-// first.
+// first. It forgets a trace once the last cell that needs it is done.
 type Cache[K comparable, V any] struct {
-	mu sync.Mutex
-	m  map[K]*flight[V]
+	mu   sync.Mutex
+	m    map[K]*flight[V]
+	peak int
 }
 
 type flight[V any] struct {
@@ -42,6 +43,7 @@ func (c *Cache[K, V]) Do(key K, fn func() (V, error)) (V, error) {
 	}
 	f := &flight[V]{done: make(chan struct{})}
 	c.m[key] = f
+	c.peak = max(c.peak, len(c.m))
 	c.mu.Unlock()
 
 	panicked := true
@@ -67,4 +69,27 @@ func (c *Cache[K, V]) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.m)
+}
+
+// Peak returns the most entries (in-flight ones included) the cache
+// has held at once.
+func (c *Cache[K, V]) Peak() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.peak
+}
+
+// Forget drops key's value, so the next Do for key computes it again.
+// A key still in flight is left alone: its callers share that
+// computation's result.
+func (c *Cache[K, V]) Forget(key K) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if f, ok := c.m[key]; ok {
+		select {
+		case <-f.done:
+			delete(c.m, key)
+		default:
+		}
+	}
 }

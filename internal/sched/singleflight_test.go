@@ -125,3 +125,52 @@ func TestCacheErrorRetry(t *testing.T) {
 		t.Errorf("cached Do = %d (calls %d), want 7 (2)", v, calls)
 	}
 }
+
+// TestCacheForget checks Forget drops a computed value, so a later Do
+// recomputes, leaves an in-flight key alone, so its callers still share
+// one computation, and ignores an absent key; Peak keeps the most
+// entries held at once.
+func TestCacheForget(t *testing.T) {
+	var c sched.Cache[string, int]
+	calls := 0
+	c.Do("a", func() (int, error) { calls++; return 1, nil })
+	c.Forget("a")
+	c.Forget("absent")
+	if c.Len() != 0 {
+		t.Fatalf("Len() = %d after Forget, want 0", c.Len())
+	}
+	if v, _ := c.Do("a", func() (int, error) { calls++; return 2, nil }); v != 2 || calls != 2 {
+		t.Fatalf("Do after Forget = %d (calls %d), want a recomputed 2 (2)", v, calls)
+	}
+
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	done := make(chan int)
+	go func() {
+		v, _ := c.Do("b", func() (int, error) {
+			close(entered)
+			<-release
+			return 3, nil
+		})
+		done <- v
+	}()
+	<-entered
+	c.Forget("b")
+	joined := make(chan int)
+	go func() {
+		v, _ := c.Do("b", func() (int, error) { return 4, nil })
+		joined <- v
+	}()
+	close(release)
+	if v, w := <-done, <-joined; v != 3 || w != 3 {
+		t.Fatalf("in-flight key: computing caller got %d, later caller %d, want 3 and 3", v, w)
+	}
+	if c.Len() != 2 || c.Peak() != 2 {
+		t.Fatalf("Len() = %d, Peak() = %d, want 2 and 2", c.Len(), c.Peak())
+	}
+	c.Forget("a")
+	c.Forget("b")
+	if c.Len() != 0 || c.Peak() != 2 {
+		t.Fatalf("after forgetting both: Len() = %d, Peak() = %d, want 0 and 2", c.Len(), c.Peak())
+	}
+}

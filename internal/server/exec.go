@@ -302,21 +302,16 @@ func (e engineExecutor) Bench(ctx context.Context, req *BenchRequest) ([]byte, i
 	if e.srv != nil && e.srv.cache != nil && req.Inject == "" {
 		session.SetCellRunner(e.srv.cellRunner(cellStatsFrom(ctx)))
 	}
+	ev, err := session.Evaluate(ctx, req.ids)
+	if err != nil {
+		return nil, 0, err
+	}
 	failed := 0
-	results := make([]*experiments.Result, 0, len(req.ids))
-	for _, id := range req.ids {
-		res, err := session.RunCtx(ctx, id)
-		if err != nil {
-			return nil, 0, err
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, 0, err
-		}
+	for _, res := range ev.Results {
 		failed += len(res.Failures)
-		results = append(results, res)
 	}
 	var buf bytes.Buffer
-	if err := experiments.WriteFormat(&buf, req.Format, req.Insts, results); err != nil {
+	if err := experiments.WriteFormat(&buf, req.Format, req.Insts, ev.Results); err != nil {
 		return nil, 0, err
 	}
 	exit := 0

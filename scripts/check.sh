@@ -25,7 +25,10 @@
 #                   must save and load back unchanged
 #   degraded smoke  fgstpbench with an injected livelock must finish
 #                   the experiment, exit 1, and print byte-identical
-#                   reports for -jobs 1 and -jobs 4
+#                   reports for -jobs 1 and -jobs 4; then the same over
+#                   the whole evaluation (-experiment all), where the
+#                   poisoned Fg-STP cells are left out of the cell plan
+#                   and fail while their experiments render
 #   json smoke      fgstpbench -format json must emit a valid export
 #                   (scripts/jsoncheck) byte-identical across -jobs,
 #                   and fgstpsim -tracejson a valid Chrome trace; the
@@ -104,6 +107,17 @@ cmp "$tmp/degraded1.txt" "$tmp/degraded4.txt" || {
     echo "degraded output differs between -jobs 1 and -jobs 4"; exit 1; }
 grep -q 'FAIL(livelock)' "$tmp/degraded1.txt" || {
     echo "degraded output missing FAIL(livelock) cell"; exit 1; }
+for j in 1 4; do
+    status=0
+    "$tmp/fgstpbench" -experiment all -insts 3000 -inject gobmk -jobs "$j" \
+        >"$tmp/degraded-all$j.txt" 2>/dev/null || status=$?
+    [ "$status" -eq 1 ] || {
+        echo "degraded whole evaluation (-jobs $j) exited $status, want 1"; exit 1; }
+done
+cmp "$tmp/degraded-all1.txt" "$tmp/degraded-all4.txt" || {
+    echo "degraded whole evaluation differs between -jobs 1 and -jobs 4"; exit 1; }
+grep -q 'FAIL(livelock)' "$tmp/degraded-all1.txt" || {
+    echo "degraded whole evaluation missing FAIL(livelock) cell"; exit 1; }
 
 echo "== json-export smoke (valid export, jobs-determinism, pipeline trace)"
 "$tmp/fgstpbench" -experiment E2 -insts 3000 -format json -jobs 1 \
