@@ -12,6 +12,7 @@
 package repro_test
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/cmp"
@@ -26,15 +27,16 @@ import (
 // time reasonable.
 const benchInsts = 20_000
 
-// runExperiment executes experiment id once per iteration and reports
-// its headline metrics.
+// runExperiment evaluates experiment id on a fresh session once per
+// iteration, as fgstpbench does, and reports its headline metrics.
 func runExperiment(b *testing.B, id string, metrics ...string) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Run(id, benchInsts)
+		ev, err := experiments.NewSession(benchInsts, 0).Evaluate(context.Background(), []string{id})
 		if err != nil {
 			b.Fatal(err)
 		}
+		res := ev.Results[0]
 		if i == b.N-1 {
 			for _, mkey := range metrics {
 				if v, ok := res.Metrics[mkey]; ok {

@@ -200,8 +200,7 @@ func run() int {
 	// identically for any -jobs. A failed mode reports FAILED without
 	// aborting its siblings. fgstpd's /v1/sim runs the same
 	// experiments.RunSim, which also validates -inject.
-	rep, err := experiments.RunSim(context.Background(), m, tr, modes, *inject,
-		experiments.SimpointParams{Interval: *simpointN, Warmup: -1}, *jobs)
+	rep, err := experiments.RunSim(context.Background(), m, tr, modes, *inject, *simpointN, *jobs)
 	if err != nil {
 		return fatal(err)
 	}

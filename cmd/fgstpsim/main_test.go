@@ -26,8 +26,7 @@ func TestSimpointEstimateSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := experiments.RunSim(context.Background(), m, tr, []cmp.Mode{cmp.ModeFgSTP}, "",
-		experiments.SimpointParams{Interval: 2_000, Warmup: -1}, 1)
+	rep, err := experiments.RunSim(context.Background(), m, tr, []cmp.Mode{cmp.ModeFgSTP}, "", 2_000, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	"fmt"
 	"slices"
 	"sync/atomic"
 
@@ -92,23 +91,10 @@ type Cell struct {
 	Workload string
 }
 
-// Cells enumerates the simulation cells experiment id will run at
-// budget insts, with the planner Session.Evaluate uses: each distinct
-// (mode, workload, CellConfig) cell once, in the order the session memo
-// first asks for it. Nothing is simulated and no trace is captured.
-// E12's phase-level simulations run inside internal/adaptive, not as
-// cells, so enumerating it is an error.
-func Cells(id string, insts uint64) ([]Cell, error) {
-	if id == "E12" {
-		return nil, fmt.Errorf("experiment E12 does not decompose into simulation cells (phase-level runs live in internal/adaptive)")
-	}
-	return planner(insts, "").cellsOf([]string{id})
-}
-
 // planner returns a runner that records each clean cell the memo first
-// asks for and answers it with a stub run, on one worker so the record
-// keeps the memo's order. A poisoned Fg-STP cell, never memoised, is
-// not recorded and fails. No trace is captured.
+// asks for, in that order, and answers it with a stub run. A poisoned
+// Fg-STP cell, never memoised, is not recorded and fails. No trace is
+// captured.
 func planner(insts uint64, poison string) *runner {
 	p := newRunner(insts, 1)
 	p.poison, p.plan = poison, new([]Cell)
@@ -116,15 +102,14 @@ func planner(insts uint64, poison string) *runner {
 }
 
 // cellsOf runs ids on planner p and returns the cells it recorded; the
-// error is an unknown id's. E12 has no cells and is skipped. An
-// experiment that fails here (E11 stops at a poisoned cell) has
-// recorded the cells it reached; rendering reports its real error.
+// error is an unknown id's. E12's phase-level simulations run inside
+// internal/adaptive, not as cells, so it is skipped.
 func (p *runner) cellsOf(ids []string) ([]Cell, error) {
 	for _, id := range ids {
 		if id == "E12" {
 			continue
 		}
-		if _, err := p.run(id); err != nil && !ValidID(id) {
+		if _, err := p.run(id); err != nil {
 			return nil, err
 		}
 	}
@@ -137,7 +122,7 @@ func (p *runner) cellsOf(ids []string) ([]Cell, error) {
 // trace and its last forgets it, so at most one trace per worker is
 // resident. A failed cell is not memoised and simulates again when its
 // experiment renders.
-func (r *runner) execute(ctx context.Context, cells []Cell) Pool {
+func (r *runner) execute(cells []Cell) Pool {
 	first := map[string]int{}
 	left := map[string]*atomic.Int64{}
 	for _, c := range cells {
@@ -148,7 +133,7 @@ func (r *runner) execute(ctx context.Context, cells []Cell) Pool {
 		left[c.Workload].Add(1)
 	}
 	slices.SortStableFunc(cells, func(a, b Cell) int { return first[a.Workload] - first[b.Workload] })
-	_, _, pool := mapTimed(ctx, r.jobs, cells, func(c Cell) (struct{}, error) {
+	_, _, pool := mapTimed(r.ctx, r.jobs, cells, func(c Cell) (struct{}, error) {
 		defer func() {
 			if left[c.Workload].Add(-1) == 0 {
 				r.traces.Forget(c.Workload)
@@ -173,20 +158,23 @@ type Evaluation struct {
 // Evaluate runs experiments ids on the session in three phases: plan
 // their distinct clean cells (see planner), execute them workload by
 // workload so each trace is resident only while its cells run (see
-// execute), then render each experiment as RunCtx does. Clean cells
-// are memo hits by then; poisoned and failed cells, and any the plan
-// missed, simulate while rendering, so the results are byte-identical
-// to RunCtx for each id in turn whatever the plan. The error is an
-// unknown id's, an experiment's, or ctx's once ctx is done (queued
-// cells are then skipped and the results must not be rendered).
+// execute), then render each experiment in turn, reading its cells one
+// at a time through runOf. Clean cells are memo hits by then; poisoned
+// and failed cells, and any the plan missed, simulate while rendering,
+// in the order the experiment asks for them, so the results are the
+// same whatever the plan and the worker count. The error is an unknown
+// id's, an experiment's, or ctx's once ctx is done (cells not yet
+// simulated are then skipped and the results must not be rendered).
 func (s *Session) Evaluate(ctx context.Context, ids []string) (*Evaluation, error) {
 	cells, err := planner(s.r.insts, s.r.poison).cellsOf(ids)
 	if err != nil {
 		return nil, err
 	}
-	ev := &Evaluation{Pool: s.r.execute(ctx, cells)}
+	s.r.ctx = ctx
+	defer func() { s.r.ctx = context.Background() }()
+	ev := &Evaluation{Pool: s.r.execute(cells)}
 	for _, id := range ids {
-		res, err := s.RunCtx(ctx, id)
+		res, err := s.r.run(id)
 		if err != nil {
 			return nil, err
 		}

@@ -20,7 +20,7 @@ import (
 // submission order, each exactly once (the session memo dedupes
 // nothing here — E2 runs each (mode, workload) pair once).
 func TestCellsE2(t *testing.T) {
-	cells, err := Cells("E2", 3000)
+	cells, err := plannedCells("E2", 3000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,12 +40,12 @@ func TestCellsE2(t *testing.T) {
 			t.Fatalf("E2 has %d %s cells, want %d", counts[m], m, w)
 		}
 	}
-	again, err := Cells("E2", 3000)
+	again, err := plannedCells("E2", 3000)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(cells, again) {
-		t.Fatal("Cells(E2) is not deterministic across calls")
+		t.Fatal("the plan of E2 is not deterministic across calls")
 	}
 }
 
@@ -54,7 +54,7 @@ func TestCellsE2(t *testing.T) {
 // variants mutate only the Fg-STP section), so the enumeration carries
 // W single cells and 5W Fg-STP cells.
 func TestCellsE4Dedupe(t *testing.T) {
-	cells, err := Cells("E4", 2000)
+	cells, err := plannedCells("E4", 2000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,11 +74,13 @@ func TestCellsE4Dedupe(t *testing.T) {
 	}
 }
 
-// TestCellsE12Errors pins the one non-decomposable experiment: E12's
-// simulations run inside internal/adaptive, not through cmp cells.
-func TestCellsE12Errors(t *testing.T) {
-	if _, err := Cells("E12", 2000); err == nil {
-		t.Fatal("Cells(E12) succeeded, want an error")
+// TestCellsE12PlansNothing pins the one non-decomposable experiment:
+// E12's simulations run inside internal/adaptive, not through cmp
+// cells, so Evaluate plans none for it.
+func TestCellsE12PlansNothing(t *testing.T) {
+	cells, err := plannedCells("E12", 2000)
+	if err != nil || len(cells) != 0 {
+		t.Fatalf("E12 planned %d cells, error %v; want none", len(cells), err)
 	}
 }
 
@@ -89,7 +91,7 @@ func TestCellRunnerByteIdentity(t *testing.T) {
 	const insts = 3000
 	render := func(s *Session) []byte {
 		t.Helper()
-		res, err := s.Run("E2")
+		res, err := evaluate(s, "E2")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -111,7 +113,7 @@ func TestCellRunnerByteIdentity(t *testing.T) {
 	if !bytes.Equal(want, got) {
 		t.Fatal("pass-through cell runner changed the rendered document")
 	}
-	cells, err := Cells("E2", insts)
+	cells, err := plannedCells("E2", insts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +135,7 @@ func TestPoisonBypassesCellRunner(t *testing.T) {
 		}
 		return cmp.Run(m, mode, tr)
 	})
-	if _, err := s.Run("E2"); err != nil {
+	if _, err := evaluate(s, "E2"); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -196,7 +198,7 @@ func TestSessionCellsDistinct(t *testing.T) {
 		return run, nil
 	})
 	for _, id := range IDs() {
-		if _, err := s.Run(id); err != nil {
+		if _, err := evaluate(s, id); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -207,7 +209,8 @@ func TestSessionCellsDistinct(t *testing.T) {
 }
 
 // TestMemoRetriesFailedCells: a failed cell is not memoised, so the
-// next experiment that asks for it runs it again.
+// next experiment that asks for it runs it again. Both render with
+// nothing planned, so the runner sees exactly the cells they ask for.
 func TestMemoRetriesFailedCells(t *testing.T) {
 	failing := workloads.All()[0].Name
 	var calls, failures atomic.Int64
@@ -219,7 +222,7 @@ func TestMemoRetriesFailedCells(t *testing.T) {
 		}
 		return cmp.Run(m, mode, tr)
 	})
-	first, err := s.Run("E2")
+	first, err := s.r.run("E2")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +230,7 @@ func TestMemoRetriesFailedCells(t *testing.T) {
 		t.Fatalf("first E2 failures = %v, want the one injected", first.Failures)
 	}
 	before := calls.Load()
-	second, err := s.Run("E2")
+	second, err := s.r.run("E2")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,8 +3,10 @@ package experiments
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/cmp"
@@ -33,20 +35,21 @@ func renderAll(t *testing.T, results []*Result) map[string][]byte {
 }
 
 // TestEvaluateMatchesPerIDRuns: Evaluate's plan/execute/render
-// documents are byte-identical to running IDs() one RunCtx at a time on
-// one session, in every format at 1, 2 and 4 workers — clean, and with
-// a poisoned workload whose Fg-STP cells are never planned and fail
-// when their experiments render.
+// documents are byte-identical to rendering each of IDs() on a fresh
+// session with nothing planned, where every cell simulates on demand in
+// the order its experiment asks for it. That holds in every format at
+// 1, 2 and 4 workers — clean, and with a poisoned workload whose Fg-STP
+// cells are never planned and fail when their experiments render.
 func TestEvaluateMatchesPerIDRuns(t *testing.T) {
 	ctx := context.Background()
 	for _, poison := range []string{"", "gobmk"} {
 		t.Run("poison="+poison, func(t *testing.T) {
 			t.Parallel()
-			ref := NewSession(evaluateInsts, 0)
-			ref.Poison(poison)
 			var results []*Result
 			for _, id := range IDs() {
-				res, err := ref.RunCtx(ctx, id)
+				ref := NewSession(evaluateInsts, 0)
+				ref.Poison(poison)
+				res, err := ref.r.run(id)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -142,6 +145,27 @@ func TestEvaluateResidency(t *testing.T) {
 		if n := s.r.traces.Len(); n != 0 {
 			t.Errorf("jobs %d: %d traces still resident after the evaluation", jobs, n)
 		}
+	}
+}
+
+// TestEvaluateCancelled: under a context that is already done, Evaluate
+// simulates nothing, neither in its cell pool nor while the experiments
+// render (poisoned cells included), and returns ctx's error.
+func TestEvaluateCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	s := NewSession(evaluateInsts, 2)
+	s.Poison("gobmk")
+	var calls atomic.Int64
+	s.SetCellRunner(func(m config.Machine, mode cmp.Mode, w workloads.Workload, tr *trace.Trace) (stats.Run, error) {
+		calls.Add(1)
+		return cmp.Run(m, mode, tr)
+	})
+	if _, err := s.Evaluate(ctx, []string{"E2"}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("error %v, want context.Canceled", err)
+	}
+	if n, p := calls.Load(), s.r.traces.Peak(); n != 0 || p != 0 {
+		t.Fatalf("cancelled evaluation simulated %d cells and captured %d traces", n, p)
 	}
 }
 

@@ -36,9 +36,9 @@ type Result struct {
 	// Metrics are the headline numbers (keyed by snake_case name).
 	Metrics map[string]float64
 	// Failures lists every failed simulation cell ("context: error"),
-	// in deterministic submission order. A failed cell renders as
-	// FAIL(reason) in the tables and is excluded from geomeans; the
-	// rest of the experiment still completes.
+	// in the order the experiment reads its cells. A failed cell
+	// renders as FAIL(reason) in the tables and is excluded from
+	// geomeans; the rest of the experiment still completes.
 	Failures []string
 }
 
@@ -79,17 +79,18 @@ func (r *Result) String() string {
 }
 
 // runner bundles the common parameters of an experiment run: the
-// per-simulation instruction budget, the worker count the job lists fan
-// out over, and the session-wide single-flight trace and cell caches.
+// per-simulation instruction budget, the worker count of Evaluate's
+// cell pool, and the session-wide single-flight trace and cell caches.
 type runner struct {
 	insts uint64
-	// jobs is the worker count for sched.Map fan-out (<= 0 picks
-	// GOMAXPROCS).
+	// jobs is the worker count of Evaluate's cell pool and of E12's
+	// fan-out (<= 0 picks GOMAXPROCS).
 	jobs int
-	// ctx cancels the fan-outs between simulations (never nil; the
-	// default is context.Background()). An individual simulation is
-	// bounded by the livelock watchdog, so cancellation takes effect at
-	// the next cell boundary.
+	// ctx is Evaluate's context while it runs (context.Background()
+	// otherwise). Once it is done, no simulation starts: runOf returns
+	// its error instead. An individual simulation is bounded by the
+	// livelock watchdog, so cancellation takes effect at the next cell
+	// boundary.
 	ctx context.Context
 	// poison names a workload whose Fg-STP runs get a channel-stall
 	// fault injected (empty = none); see Session.Poison.
@@ -129,9 +130,13 @@ func (r *runner) traceOf(w workloads.Workload) *trace.Trace {
 
 // runOf runs one (machine, mode, workload) cell through the session
 // memo. A poisoned workload's Fg-STP cells (see Session.Poison) bypass
-// it and run with a fresh channel-stall fault: injectors carry state,
-// so concurrent cells never share one.
+// it and run with a fresh channel-stall fault, since injectors carry
+// state. Once r.ctx is done, every cell returns ctx's error instead of
+// simulating: the results of a cancelled evaluation are discarded.
 func (r *runner) runOf(m config.Machine, mode cmp.Mode, w workloads.Workload) (stats.Run, error) {
+	if err := r.ctx.Err(); err != nil {
+		return stats.Run{}, err
+	}
 	if mode == cmp.ModeFgSTP && w.Name == r.poison {
 		if r.plan != nil {
 			return stats.Run{}, cmp.ErrLivelock // what the stalled channel ends in
@@ -201,34 +206,20 @@ func notedGeomean(res *Result, label string, vals []float64) float64 {
 	return gm
 }
 
-// gridOutcomes fans the (workload × mode) simulation grid out over the
-// pool and returns, per workload in the given order, the cell outcomes
-// keyed by mode, plus the failure lines in submission order. Failed
-// cells never abort the grid: every cell runs.
+// gridOutcomes runs the (workload × mode) simulation grid cell by cell
+// and returns, per workload in the given order, the cell outcomes keyed
+// by mode, plus the failure lines in grid order. Failed cells never
+// abort the grid: every cell runs.
 func (r *runner) gridOutcomes(m config.Machine, ws []workloads.Workload, modes []cmp.Mode) ([]map[cmp.Mode]outcome, []string) {
-	type cell struct {
-		w    workloads.Workload
-		mode cmp.Mode
-	}
-	cells := make([]cell, 0, len(ws)*len(modes))
-	for _, w := range ws {
-		for _, mode := range modes {
-			cells = append(cells, cell{w, mode})
-		}
-	}
-	runs, errs := sched.MapAllCtx(r.ctx, r.jobs, cells, func(c cell) (stats.Run, error) {
-		return r.runOf(m, c.mode, c.w)
-	})
 	out := make([]map[cmp.Mode]outcome, len(ws))
 	var failures []string
-	for i := range ws {
+	for i, w := range ws {
 		out[i] = make(map[cmp.Mode]outcome, len(modes))
-		for j, mode := range modes {
-			idx := i*len(modes) + j
-			out[i][mode] = outcome{runs[idx], errs[idx]}
-			if errs[idx] != nil {
-				failures = append(failures,
-					fmt.Sprintf("%s/%s/%s: %v", m.Name, ws[i].Name, mode, errs[idx]))
+		for _, mode := range modes {
+			run, err := r.runOf(m, mode, w)
+			out[i][mode] = outcome{run, err}
+			if err != nil {
+				failures = append(failures, fmt.Sprintf("%s/%s/%s: %v", m.Name, w.Name, mode, err))
 			}
 		}
 	}
@@ -260,12 +251,11 @@ func IDs() []string {
 func ExtensionIDs() []string { return []string{"E11", "E12"} }
 
 // Session runs experiments with shared single-flight caches: across an
-// `-experiment all` run each workload trace is captured once and each
-// distinct cell simulated once, no matter how many experiments (or
-// concurrent jobs within one) ask for it. Sessions are safe for use
-// from one goroutine at a time; the parallelism lives in the job lists
-// (Evaluate's cell list, each experiment's), which fan out over the
-// session's worker count.
+// `-experiment all` run each distinct cell is simulated once, no matter
+// how many experiments ask for it. Sessions are safe for use from one
+// goroutine at a time; the parallelism lives in Evaluate's cell list
+// (and E12's workload list), which fan out over the session's worker
+// count.
 type Session struct {
 	r *runner
 }
@@ -289,32 +279,16 @@ func NewSession(insts uint64, jobs int) *Session {
 // of the geomeans, and every other experiment cell still completes.
 func (s *Session) Poison(workload string) { s.r.poison = workload }
 
-// Run executes one experiment with the given per-run instruction
-// budget (0 picks the default of 100k), fanning its job list out over
-// GOMAXPROCS workers. Results are independent of worker count. Use a
-// Session to share trace and cell caches across experiments.
-func Run(id string, insts uint64) (*Result, error) {
-	return NewSession(insts, 0).Run(id)
-}
-
-// RunCtx executes one experiment on the session with cancellation
-// threaded into every simulation fan-out: once ctx is done no new
-// simulation cell starts, cells already in flight finish (each is
-// bounded by the livelock watchdog), and the skipped cells surface as
-// FAIL cells carrying ctx's error. Sessions are single-goroutine, so
-// the context applies to this call only.
+// RunCtx evaluates experiment id alone (see Evaluate). It stays only
+// for bench/'s traced run, which times each experiment on its own;
+// ROADMAP item 5 deletes it once item 4 moves that run to Evaluate.
 func (s *Session) RunCtx(ctx context.Context, id string) (*Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
+	ev, err := s.Evaluate(ctx, []string{id})
+	if err != nil {
+		return nil, err
 	}
-	prev := s.r.ctx
-	s.r.ctx = ctx
-	defer func() { s.r.ctx = prev }()
-	return s.Run(id)
+	return ev.Results[0], nil
 }
-
-// Run executes one experiment on the session.
-func (s *Session) Run(id string) (*Result, error) { return s.r.run(id) }
 
 func (r *runner) run(id string) (*Result, error) {
 	switch id {
@@ -414,11 +388,9 @@ func (r *runner) speedupFigure(id string, m config.Machine) (*Result, error) {
 		fmt.Sprintf("IPC and speedup over single core (%s, %d insts/run)", m.Name, r.insts),
 		"benchmark", "suite", "single", "corefusion", "fgstp", "fusion/single", "fgstp/single", "fgstp/fusion")
 
-	// Job list: every workload in every mode, fanned out over the
-	// pool; results come back in submission order so the aggregation
-	// below is byte-identical to the serial loop it replaced. A failed
-	// cell renders FAIL(reason) and drops its workload from the
-	// geomeans; the rest of the figure still computes.
+	// Every workload in every mode. A failed cell renders FAIL(reason)
+	// and drops its workload from the geomeans; the rest of the figure
+	// still computes.
 	ws := workloads.All()
 	runs, failures := r.gridOutcomes(m, ws, cmp.Modes())
 	var spS, spF []float64
@@ -477,41 +449,14 @@ func (r *runner) e4() (*Result, error) {
 	}
 	tb := stats.NewTable("Geomean speedup over single core",
 		"variant", "geomean", "vs full")
-	// One job list spans every (variant × workload) pair; the shared
-	// single-core baseline (the variants mutate only the Fg-STP
-	// fabric) is computed once via the session memo.
-	ws := workloads.All()
-	type cell struct {
-		vi int
-		w  workloads.Workload
-	}
-	machines := make([]config.Machine, len(variants))
-	cells := make([]cell, 0, len(variants)*len(ws))
-	for i, v := range variants {
+	// The variants mutate only the Fg-STP fabric, so they share one
+	// single-core baseline per workload through the session memo.
+	var sw sweep
+	var full float64
+	for _, v := range variants {
 		m := config.Medium()
 		v.mutate(&m)
-		machines[i] = m
-		for _, w := range ws {
-			cells = append(cells, cell{i, w})
-		}
-	}
-	sp, errs := sched.MapAllCtx(r.ctx, r.jobs, cells, func(c cell) (float64, error) {
-		return r.speedup(machines[c.vi], c.w)
-	})
-	var failures []string
-	var full float64
-	for i, v := range variants {
-		var vals []float64
-		for j := range ws {
-			idx := i*len(ws) + j
-			if errs[idx] != nil {
-				failures = append(failures,
-					fmt.Sprintf("%s/%s: %v", v.name, ws[j].Name, errs[idx]))
-				continue
-			}
-			vals = append(vals, sp[idx])
-		}
-		gm := notedGeomean(res, v.name, vals)
+		gm := r.fgstpGeomean(res, &sw, v.name, m)
 		if v.name == "full" {
 			full = gm
 		}
@@ -519,7 +464,7 @@ func (r *runner) e4() (*Result, error) {
 		res.metric("geomean_"+v.name, gm)
 	}
 	res.Tables = append(res.Tables, tb)
-	degrade(res, failures, len(cells))
+	degrade(res, sw.failures, sw.total)
 	return res, nil
 }
 
@@ -638,21 +583,18 @@ func (r *runner) e8() (*Result, error) {
 		"squash/kinst", "bpred acc")
 	m := config.Medium()
 	ws := workloads.All()
-	rows, errs := sched.MapAllCtx(r.ctx, r.jobs, ws, func(w workloads.Workload) (stats.Run, error) {
-		return r.runOf(m, cmp.ModeFgSTP, w)
-	})
 	var failures []string
 	var balSum, replSum, commSum float64
 	n := 0
-	for i, w := range ws {
-		if errs[i] != nil {
-			fc := failCell(errs[i])
+	for _, w := range ws {
+		g, err := r.runOf(m, cmp.ModeFgSTP, w)
+		if err != nil {
+			fc := failCell(err)
 			tb.AddRow(w.Name, fc, fc, fc, fc, fc, fc)
-			failures = append(failures, fmt.Sprintf("%s: %v", w.Name, errs[i]))
+			failures = append(failures, fmt.Sprintf("%s: %v", w.Name, err))
 			continue
 		}
 		// An Fg-STP run commits the whole trace: Insts is its length.
-		g := rows[i]
 		sq := g.Get("squashes") / float64(g.Insts) * 1000
 		tb.AddRowf(w.Name, g.Get("steer_core1_frac"), g.Get("replicated_frac"),
 			g.Get("remote_dep_frac"), g.Get("comm_per_kinst"), sq,
@@ -753,24 +695,20 @@ type sweep struct {
 }
 
 // fgstpGeomean runs every workload in single and fgstp mode on machine
-// m (one job per workload, fanned out over the pool; failures never
-// abort the batch) and returns the geomean speedup over the workloads
-// that succeeded. Each failure adds a "label/workload: error" line to
-// sw; non-positive speedup cells excluded from the geomean are noted on
-// res under label.
+// m and returns the geomean speedup over the workloads that succeeded;
+// a failure never stops the others. Each failure adds a
+// "label/workload: error" line to sw; non-positive speedup cells
+// excluded from the geomean are noted on res under label.
 func (r *runner) fgstpGeomean(res *Result, sw *sweep, label string, m config.Machine) float64 {
-	ws := workloads.All()
-	sp, errs := sched.MapAllCtx(r.ctx, r.jobs, ws, func(w workloads.Workload) (float64, error) {
-		return r.speedup(m, w)
-	})
-	sw.total += len(ws)
 	var ok []float64
-	for i, w := range ws {
-		if errs[i] != nil {
-			sw.failures = append(sw.failures, fmt.Sprintf("%s/%s: %v", label, w.Name, errs[i]))
+	for _, w := range workloads.All() {
+		sw.total++
+		sp, err := r.speedup(m, w)
+		if err != nil {
+			sw.failures = append(sw.failures, fmt.Sprintf("%s/%s: %v", label, w.Name, err))
 			continue
 		}
-		ok = append(ok, sp[i])
+		ok = append(ok, sp)
 	}
 	return notedGeomean(res, label, ok)
 }

@@ -13,13 +13,13 @@ func TestIDs(t *testing.T) {
 	if len(ids) != 10 {
 		t.Fatalf("IDs() = %v", ids)
 	}
-	if _, err := Run("E99", testInsts); err == nil {
+	if _, err := evaluate(NewSession(testInsts, 0), "E99"); err == nil {
 		t.Error("unknown experiment accepted")
 	}
 }
 
 func TestE1Configs(t *testing.T) {
-	res, err := Run("E1", testInsts)
+	res, err := evaluate(NewSession(testInsts, 0), "E1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +32,7 @@ func TestE1Configs(t *testing.T) {
 }
 
 func TestE2HeadlineFigure(t *testing.T) {
-	res, err := Run("E2", testInsts)
+	res, err := evaluate(NewSession(testInsts, 0), "E2")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestE2HeadlineFigure(t *testing.T) {
 }
 
 func TestE4AblationOrdering(t *testing.T) {
-	res, err := Run("E4", testInsts)
+	res, err := evaluate(NewSession(testInsts, 0), "E4")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestE4AblationOrdering(t *testing.T) {
 }
 
 func TestE5LatencyMonotone(t *testing.T) {
-	res, err := Run("E5", testInsts)
+	res, err := evaluate(NewSession(testInsts, 0), "E5")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestE5LatencyMonotone(t *testing.T) {
 }
 
 func TestE7WindowHelps(t *testing.T) {
-	res, err := Run("E7", testInsts)
+	res, err := evaluate(NewSession(testInsts, 0), "E7")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestE7WindowHelps(t *testing.T) {
 }
 
 func TestE8Characterisation(t *testing.T) {
-	res, err := Run("E8", testInsts)
+	res, err := evaluate(NewSession(testInsts, 0), "E8")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestE8Characterisation(t *testing.T) {
 }
 
 func TestE9PredictorOrdering(t *testing.T) {
-	res, err := Run("E9", testInsts)
+	res, err := evaluate(NewSession(testInsts, 0), "E9")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestE9PredictorOrdering(t *testing.T) {
 }
 
 func TestE10SuiteSplit(t *testing.T) {
-	res, err := Run("E10", testInsts)
+	res, err := evaluate(NewSession(testInsts, 0), "E10")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestE10SuiteSplit(t *testing.T) {
 }
 
 func TestE6QueueAndBandwidth(t *testing.T) {
-	res, err := Run("E6", testInsts)
+	res, err := evaluate(NewSession(testInsts, 0), "E6")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestE6QueueAndBandwidth(t *testing.T) {
 }
 
 func TestE3Small(t *testing.T) {
-	res, err := Run("E3", testInsts)
+	res, err := evaluate(NewSession(testInsts, 0), "E3")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestE3Small(t *testing.T) {
 }
 
 func TestE11EnergyExtension(t *testing.T) {
-	res, err := Run("E11", testInsts)
+	res, err := evaluate(NewSession(testInsts, 0), "E11")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestE11EnergyExtension(t *testing.T) {
 }
 
 func TestE12AdaptiveExtension(t *testing.T) {
-	res, err := Run("E12", testInsts)
+	res, err := evaluate(NewSession(testInsts, 0), "E12")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"encoding/csv"
 	"encoding/json"
 	"strings"
@@ -12,9 +13,25 @@ import (
 // simulations (same budget class as the determinism tests).
 const exportInsts = 2_000
 
+// evaluate renders experiment id on s through Session.Evaluate, the
+// path fgstpbench and fgstpd take: plan, execute, render.
+func evaluate(s *Session, id string) (*Result, error) {
+	ev, err := s.Evaluate(context.Background(), []string{id})
+	if err != nil {
+		return nil, err
+	}
+	return ev.Results[0], nil
+}
+
+// plannedCells lists the cells Evaluate plans for experiment id at
+// budget insts, in the order the experiment first asks for them.
+func plannedCells(id string, insts uint64) ([]Cell, error) {
+	return planner(insts, "").cellsOf([]string{id})
+}
+
 func runExport(t *testing.T, id string, jobs int) []*Result {
 	t.Helper()
-	res, err := NewSession(exportInsts, jobs).Run(id)
+	res, err := evaluate(NewSession(exportInsts, jobs), id)
 	if err != nil {
 		t.Fatal(err)
 	}

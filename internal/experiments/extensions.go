@@ -33,57 +33,44 @@ func (r *runner) e11() (*Result, error) {
 	tb := stats.NewTable("Geomean ratios vs the single core",
 		"mode", "speedup", "energy ratio", "EDP gain")
 	compared := []cmp.Mode{cmp.ModeFusion, cmp.ModeFgSTP}
+	// Every workload in every mode, as in E2. A workload with a failed
+	// cell drops out of the geomeans; the others reduce to per-mode
+	// energy comparisons against their single core.
 	ws := workloads.All()
-	// One job per workload: each simulates all three modes (through the
-	// session memo) and reduces them to the per-mode
-	// energy comparisons, which aggregate below in workload order.
-	type row struct {
-		c map[cmp.Mode]energy.Compare
-	}
-	rows, err := sched.MapCtx(r.ctx, r.jobs, ws, func(w workloads.Workload) (row, error) {
-		runs := make(map[cmp.Mode]stats.Run, len(cmp.Modes()))
-		for _, mode := range cmp.Modes() {
-			run, err := r.runOf(m, mode, w)
-			if err != nil {
-				return row{}, err
-			}
-			runs[mode] = run
+	runs, failures := r.gridOutcomes(m, ws, cmp.Modes())
+	sp, en, edp := map[cmp.Mode][]float64{}, map[cmp.Mode][]float64{}, map[cmp.Mode][]float64{}
+	for i := range ws {
+		o := runs[i]
+		if o[cmp.ModeSingle].err != nil || o[cmp.ModeFusion].err != nil || o[cmp.ModeFgSTP].err != nil {
+			continue
 		}
-		single := runs[cmp.ModeSingle]
+		single := o[cmp.ModeSingle].run
 		baseB, err := energy.Estimate(&single, weights)
 		if err != nil {
-			return row{}, err
+			return nil, err
 		}
-		out := row{c: make(map[cmp.Mode]energy.Compare, len(compared))}
 		for _, mode := range compared {
-			run := runs[mode]
+			run := o[mode].run
 			b, err := energy.Estimate(&run, weights)
 			if err != nil {
-				return row{}, err
+				return nil, err
 			}
-			out.c[mode] = energy.Against(&single, baseB, &run, b)
+			c := energy.Against(&single, baseB, &run, b)
+			sp[mode] = append(sp[mode], c.Speedup)
+			en[mode] = append(en[mode], c.EnergyRatio)
+			edp[mode] = append(edp[mode], c.EDPGain)
 		}
-		return out, nil
-	})
-	if err != nil {
-		return nil, err
 	}
 	for _, mode := range compared {
-		var sp, en, edp []float64
-		for _, rw := range rows {
-			c := rw.c[mode]
-			sp = append(sp, c.Speedup)
-			en = append(en, c.EnergyRatio)
-			edp = append(edp, c.EDPGain)
-		}
-		gmEn := notedGeomean(res, string(mode)+" energy", en)
-		gmEDP := notedGeomean(res, string(mode)+" EDP", edp)
-		tb.AddRowf(string(mode), notedGeomean(res, string(mode)+" speedup", sp),
+		gmEn := notedGeomean(res, string(mode)+" energy", en[mode])
+		gmEDP := notedGeomean(res, string(mode)+" EDP", edp[mode])
+		tb.AddRowf(string(mode), notedGeomean(res, string(mode)+" speedup", sp[mode]),
 			gmEn, gmEDP)
 		res.metric(string(mode)+"_energy_ratio", gmEn)
 		res.metric(string(mode)+"_edp_gain", gmEDP)
 	}
 	res.Tables = append(res.Tables, tb)
+	degrade(res, failures, len(ws)*len(cmp.Modes()))
 	return res, nil
 }
 
@@ -110,8 +97,10 @@ func (r *runner) e12() (*Result, error) {
 			cfg.PhaseInsts, cfg.SwitchPenalty),
 		"workload", "single", "fgstp", "history", "oracle")
 	// One job per workload; each policy comparison is itself many
-	// phase-level simulations, so the subset fans out well.
-	policies, err := sched.MapCtx(r.ctx, r.jobs, subset, func(name string) (map[adaptive.Policy]adaptive.Result, error) {
+	// phase-level simulations, which are not cells Evaluate can plan,
+	// so E12 fans its subset out itself. A failure fails E12 with the
+	// first failed workload's error.
+	policies, errs := sched.MapAllCtx(r.ctx, r.jobs, subset, func(name string) (map[adaptive.Policy]adaptive.Result, error) {
 		w, ok := workloads.ByName(name)
 		if !ok {
 			return nil, fmt.Errorf("unknown workload %q", name)
@@ -119,8 +108,10 @@ func (r *runner) e12() (*Result, error) {
 		_, results, err := adaptive.Compare(m, r.traceOf(w), cfg)
 		return results, err
 	})
-	if err != nil {
-		return nil, err
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
 	}
 	type gm struct{ s, f, h, o []float64 }
 	var g gm

@@ -8,17 +8,18 @@ import "testing"
 const determinismInsts = 2_000
 
 // TestJobsDeterminism checks the harness determinism guarantee: an
-// experiment's rendered output is byte-identical between a serial run
-// and a parallel run, because job results aggregate in submission
-// order. E2 covers the full workload × mode grid, E4 the shared
-// single-core baseline under concurrent variants, E5 the sweep path.
+// experiment's rendered output is byte-identical whether Evaluate's
+// cell pool runs on one worker or eight, because the experiment reads
+// its cells from the memo in its own order. E2 covers the full
+// workload × mode grid, E4 the shared single-core baseline under
+// concurrent variants, E5 the sweep path.
 func TestJobsDeterminism(t *testing.T) {
 	for _, id := range []string{"E2", "E4", "E5"} {
-		serial, err := NewSession(determinismInsts, 1).Run(id)
+		serial, err := evaluate(NewSession(determinismInsts, 1), id)
 		if err != nil {
 			t.Fatalf("%s serial: %v", id, err)
 		}
-		parallel, err := NewSession(determinismInsts, 8).Run(id)
+		parallel, err := evaluate(NewSession(determinismInsts, 8), id)
 		if err != nil {
 			t.Fatalf("%s parallel: %v", id, err)
 		}
@@ -29,12 +30,13 @@ func TestJobsDeterminism(t *testing.T) {
 }
 
 // TestSessionCachesShared checks that one session reuses traces and
-// cells across experiments: after E2 ran the medium grid, E4 on the
-// same session must not re-capture any trace, and of its 6W cells only
-// the 4W mutated-fabric Fg-STP cells are new to the memo.
+// cells across experiments rendered with nothing planned: after E2 ran
+// the medium grid, E4 on the same session must not re-capture any
+// trace, and of its 6W cells only the 4W mutated-fabric Fg-STP cells
+// are new to the memo.
 func TestSessionCachesShared(t *testing.T) {
 	s := NewSession(determinismInsts, 0)
-	if _, err := s.Run("E2"); err != nil {
+	if _, err := s.r.run("E2"); err != nil {
 		t.Fatal(err)
 	}
 	captured := s.r.traces.Len()
@@ -45,7 +47,7 @@ func TestSessionCachesShared(t *testing.T) {
 	if want := 3 * captured; cells != want {
 		t.Fatalf("E2 memoised %d cells, want %d", cells, want)
 	}
-	if _, err := s.Run("E4"); err != nil {
+	if _, err := s.r.run("E4"); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.r.traces.Len(); got != captured {

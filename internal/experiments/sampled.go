@@ -13,36 +13,9 @@ import (
 )
 
 // DefaultSimpointK is the number of clusters a sampled run asks of
-// k-means when the caller does not choose one; k-means may merge down
-// from it on short or phase-poor traces.
+// k-means; k-means may merge down from it on short or phase-poor
+// traces.
 const DefaultSimpointK = 8
-
-// SimpointParams bundles the knobs of a checkpointed sampled run.
-type SimpointParams struct {
-	// Interval is the SimPoint interval length in instructions; <= 0
-	// turns sampling off.
-	Interval int
-	// K is the cluster-count request; <= 0 picks DefaultSimpointK.
-	K int
-	// Warmup is the detailed-warmup length in instructions; < 0 picks
-	// one full interval (the standard choice — long enough to absorb
-	// residual cold-start state the functional warmer cannot model).
-	Warmup int
-}
-
-func (p SimpointParams) k() int {
-	if p.K <= 0 {
-		return DefaultSimpointK
-	}
-	return p.K
-}
-
-func (p SimpointParams) warmup() int {
-	if p.Warmup < 0 {
-		return p.Interval
-	}
-	return p.Warmup
-}
 
 // SimEstimate is one mode's sampled whole-trace estimate as exported in
 // the fgstp.sim/1 document: the weighted IPC point estimate with its
@@ -62,14 +35,17 @@ type SimEstimate struct {
 }
 
 // sampler computes the sampled estimates of one report, one estimate
-// task per mode on the report's worker pool (see RunSim).
+// task per mode on the report's worker pool (see RunSim), with
+// DefaultSimpointK clusters of interval instructions, each slice warmed
+// in detail for one interval (long enough to absorb residual cold-start
+// state the functional warmer cannot model).
 // Representative selection is mode-independent, so the first estimate
 // task to start makes it once for every mode; it then overlaps the
 // full runs still in flight on the other workers.
 type sampler struct {
-	m  config.Machine
-	tr *trace.Trace
-	p  SimpointParams
+	m        config.Machine
+	tr       *trace.Trace
+	interval int
 
 	once       sync.Once
 	reps       []simpoint.Representative
@@ -83,11 +59,11 @@ type sampler struct {
 }
 
 func (s *sampler) choose() {
-	s.reps, s.err = simpoint.Choose(s.tr, s.p.Interval, s.p.k())
+	s.reps, s.err = simpoint.Choose(s.tr, s.interval, DefaultSimpointK)
 	if s.err != nil {
 		return
 	}
-	slices, err := simpoint.Slices(s.reps, s.p.Interval, s.p.warmup(), s.tr.Len())
+	slices, err := simpoint.Slices(s.reps, s.interval, s.interval, s.tr.Len())
 	if err != nil {
 		s.err = err
 		return
@@ -119,7 +95,7 @@ func (s *sampler) estimate(ctx context.Context, md cmp.Mode, e *SimEstimate) err
 	if err != nil {
 		return err
 	}
-	est, err := simpoint.EstimateCPI(s.reps, s.p.Interval, s.p.warmup(), s.tr.Len(), 1, ctxSlices(ctx, sim.Run))
+	est, err := simpoint.EstimateCPI(s.reps, s.interval, s.interval, s.tr.Len(), 1, ctxSlices(ctx, sim.Run))
 	if err != nil {
 		return err
 	}

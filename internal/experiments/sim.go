@@ -101,8 +101,9 @@ func mapTimed[T, R any](ctx context.Context, jobs int, items []T, fn func(T) (R,
 // RunSim runs one simulation report, the single entry point of fgstpsim
 // and fgstpd's /v1/sim: the full run of every mode over the shared
 // trace (the SimJobs jobs, so inject, failure tags and panic
-// containment are theirs) and, when p.Interval > 0, every mode's
-// checkpointed SimPoint estimate. All of them form one task list on one
+// containment are theirs) and, when interval > 0, every mode's
+// checkpointed SimPoint estimate over intervals of that many
+// instructions (see sampler). All of them form one task list on one
 // pool of jobs workers (<= 0 picks GOMAXPROCS), started longest first
 // (see simTasks). Every result lands at its mode's index and an
 // estimate computes the same numbers at any pool size, so the rendered
@@ -112,7 +113,7 @@ func mapTimed[T, R any](ctx context.Context, jobs int, items []T, fn func(T) (R,
 // The error is SimJobs' for an unknown inject, or ctx's once ctx is
 // done: tasks not yet started are then skipped, estimates stop between
 // slices, and the report must not be published.
-func RunSim(ctx context.Context, m config.Machine, tr *trace.Trace, modes []cmp.Mode, inject string, p SimpointParams, jobs int) (SimReport, error) {
+func RunSim(ctx context.Context, m config.Machine, tr *trace.Trace, modes []cmp.Mode, inject string, interval, jobs int) (SimReport, error) {
 	jl, err := SimJobs(m, tr, modes, inject)
 	if err != nil {
 		return SimReport{}, err
@@ -122,11 +123,11 @@ func RunSim(ctx context.Context, m config.Machine, tr *trace.Trace, modes []cmp.
 		Errs: make([]error, len(modes)),
 	}
 	var sp *sampler
-	if p.Interval > 0 {
-		sp = &sampler{m: m, tr: tr, p: p}
+	if interval > 0 {
+		sp = &sampler{m: m, tr: tr, interval: interval}
 		rep.Ests = make([]SimEstimate, len(modes))
 		for i, md := range modes {
-			rep.Ests[i] = SimEstimate{Mode: string(md), Interval: p.Interval, Warmup: p.warmup()}
+			rep.Ests[i] = SimEstimate{Mode: string(md), Interval: interval, Warmup: interval}
 		}
 	}
 	tasks := simTasks(modes, sp != nil)

@@ -60,7 +60,7 @@ func TestSimTasksLongestFirst(t *testing.T) {
 // single and Fg-STP share, once for Core Fusion's fused L1s.
 func TestSamplerWarmsOncePerGeometry(t *testing.T) {
 	m, tr := simTestTrace(t)
-	sp := &sampler{m: m, tr: tr, p: SimpointParams{Interval: simTestInterval, Warmup: -1}}
+	sp := &sampler{m: m, tr: tr, interval: simTestInterval}
 	modes := cmp.Modes()
 	ests := make([]SimEstimate, len(modes))
 	_, errs := sched.MapAll(len(modes), []int{0, 1, 2}, func(i int) (struct{}, error) {
@@ -126,7 +126,7 @@ func TestRunSimByteIdentity(t *testing.T) {
 	modes := cmp.Modes()
 	var reps []SimReport
 	for _, jobs := range []int{1, 2, 4} {
-		rep, err := RunSim(context.Background(), m, tr, modes, "", SimpointParams{Interval: simTestInterval, Warmup: -1}, jobs)
+		rep, err := RunSim(context.Background(), m, tr, modes, "", simTestInterval, jobs)
 		if err != nil {
 			t.Fatalf("jobs %d: %v", jobs, err)
 		}
@@ -187,8 +187,7 @@ func TestRunSimCancelled(t *testing.T) {
 
 	m, tr := simTestTrace(t)
 	modes := cmp.Modes()
-	p := SimpointParams{Interval: simTestInterval, Warmup: -1}
-	rep, err := RunSim(ctx, m, tr, modes, "", p, 2)
+	rep, err := RunSim(ctx, m, tr, modes, "", simTestInterval, 2)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled report: error %v, want context.Canceled", err)
 	}
@@ -200,7 +199,7 @@ func TestRunSimCancelled(t *testing.T) {
 
 	late := &lateCtx{Context: context.Background()}
 	late.n.Store(int64(len(modes) + 1))
-	rep, err = RunSim(late, m, tr, modes, "", p, 1)
+	rep, err = RunSim(late, m, tr, modes, "", simTestInterval, 1)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("late report: error %v, want context.DeadlineExceeded", err)
 	}

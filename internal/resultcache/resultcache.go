@@ -17,9 +17,10 @@
 //     truncated entry (disk fault, torn write by a foreign tool) is
 //     evicted and reported as a miss — the caller recomputes, never
 //     serves bad bytes.
-//   - GetOrCompute single-flights concurrent identical jobs: N
+//   - GetOrComputeIf single-flights concurrent identical jobs: N
 //     simultaneous requests for the same key run the computation once
-//     and share the result.
+//     and share the result, and the computation decides whether its
+//     result is persisted.
 //
 // The generalisation promised by the in-memory single-flight
 // sched.Cache: same collapse-duplicates contract, plus persistence,
@@ -72,14 +73,14 @@ const entryMagic = "fgstpcache/1"
 
 // Stats is a snapshot of the store's counters.
 type Stats struct {
-	// Hits counts Get/GetOrCompute calls served from disk.
+	// Hits counts Get/GetOrComputeIf calls served from disk.
 	Hits int64
 	// Misses counts absent keys (including corrupt evictions, which
 	// also count under Corrupt).
 	Misses int64
 	// Corrupt counts entries that failed verification and were evicted.
 	Corrupt int64
-	// Shared counts GetOrCompute callers that piggybacked on another
+	// Shared counts GetOrComputeIf callers that piggybacked on another
 	// caller's in-flight computation instead of running their own.
 	Shared int64
 	// Puts counts successful writes.
@@ -191,26 +192,18 @@ func (s *Store) Put(key string, payload []byte) error {
 	return nil
 }
 
-// GetOrCompute returns the payload for key, computing and storing it
-// with fn on a miss. Concurrent calls for the same key run fn once:
-// the first caller computes while the rest wait and share the result
-// (hit=false for all of them — the bytes were computed this call, not
-// served from disk). A failed computation is not cached and is
-// delivered to every waiting caller; the next call retries. Store
-// failures after a successful fn never fail the call: the result is
-// returned uncached (the cache is an accelerator, not a dependency).
-func (s *Store) GetOrCompute(key string, fn func() ([]byte, error)) (payload []byte, hit bool, err error) {
-	return s.GetOrComputeIf(key, func() ([]byte, bool, error) {
-		data, err := fn()
-		return data, true, err
-	})
-}
-
-// GetOrComputeIf is GetOrCompute with caller-controlled persistence:
-// fn additionally reports whether its result should be written to
-// disk. Results computed with persist=false still reach every
-// single-flight waiter of this call, but the next call recomputes. The
-// daemon uses this to serve — but never memoise — degraded results.
+// GetOrComputeIf returns the payload for key, computing it with fn on
+// a miss. Concurrent calls for the same key run fn once: the first
+// caller computes while the rest wait and share the result (hit=false
+// for all of them — the bytes were computed this call, not served from
+// disk). fn also reports whether its result should be written to disk;
+// results computed with persist=false still reach every single-flight
+// waiter of this call, but the next call recomputes. The daemon uses
+// this to serve — but never memoise — degraded results. A failed
+// computation is not cached and is delivered to every waiting caller;
+// the next call retries. Store failures after a successful fn never
+// fail the call: the result is returned uncached (the cache is an
+// accelerator, not a dependency).
 func (s *Store) GetOrComputeIf(key string, fn func() ([]byte, bool, error)) (payload []byte, hit bool, err error) {
 	if data, ok := s.Get(key); ok {
 		return data, true, nil

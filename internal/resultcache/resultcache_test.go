@@ -84,7 +84,7 @@ func TestPutGetRoundTrip(t *testing.T) {
 // TestCorruptEntryFallsBackToRecompute drives every corruption shape a
 // disk can serve — flipped payload byte, truncation, trailing garbage,
 // garbage header — and asserts each reads as a miss (never bad bytes),
-// is evicted, and the next GetOrCompute recomputes and repairs the
+// is evicted, and the next GetOrComputeIf recomputes and repairs the
 // entry.
 func TestCorruptEntryFallsBackToRecompute(t *testing.T) {
 	payload := []byte("deterministic simulation output, 100 bytes of it padded ---------------------------------------")
@@ -126,9 +126,9 @@ func TestCorruptEntryFallsBackToRecompute(t *testing.T) {
 				t.Fatalf("corrupted entry not evicted: %v", err)
 			}
 			recomputes := 0
-			got, hit, err := s.GetOrCompute(key, func() ([]byte, error) {
+			got, hit, err := s.GetOrComputeIf(key, func() ([]byte, bool, error) {
 				recomputes++
-				return payload, nil
+				return payload, true, nil
 			})
 			if err != nil || hit || recomputes != 1 || !bytes.Equal(got, payload) {
 				t.Fatalf("recompute: got=%q hit=%v err=%v recomputes=%d", got, hit, err, recomputes)
@@ -160,11 +160,11 @@ func TestGetOrComputeSingleFlight(t *testing.T) {
 	for i := 0; i < n; i++ {
 		go func(i int) {
 			defer wg.Done()
-			data, _, err := s.GetOrCompute(key, func() ([]byte, error) {
+			data, _, err := s.GetOrComputeIf(key, func() ([]byte, bool, error) {
 				computes.Add(1)
 				close(entered)
 				<-release // hold the flight open so every caller piles up
-				return []byte("result"), nil
+				return []byte("result"), true, nil
 			})
 			if err != nil {
 				t.Error(err)
@@ -210,9 +210,9 @@ func TestGetOrComputeLateFollower(t *testing.T) {
 	done := make(chan result, 1)
 	var computes atomic.Int64
 	go func() {
-		data, hit, err := s.GetOrCompute(key, func() ([]byte, error) {
+		data, hit, err := s.GetOrComputeIf(key, func() ([]byte, bool, error) {
 			computes.Add(1)
-			return []byte("recomputed"), nil
+			return []byte("recomputed"), true, nil
 		})
 		done <- result{data, hit, err}
 	}()
@@ -240,15 +240,24 @@ func TestGetOrComputeErrorNotCached(t *testing.T) {
 	s := openTestStore(t)
 	key := Key("e/1", []byte("c"), []byte("t"), "error")
 	boom := fmt.Errorf("engine exploded")
-	if _, _, err := s.GetOrCompute(key, func() ([]byte, error) { return nil, boom }); err != boom {
+	if _, _, err := s.GetOrComputeIf(key, func() ([]byte, bool, error) { return nil, true, boom }); err != boom {
 		t.Fatalf("err = %v, want boom", err)
 	}
 	if _, ok := s.Get(key); ok {
 		t.Fatal("failed computation was cached")
 	}
-	data, hit, err := s.GetOrCompute(key, func() ([]byte, error) { return []byte("ok"), nil })
+	data, hit, err := s.GetOrComputeIf(key, func() ([]byte, bool, error) { return []byte("ok"), true, nil })
 	if err != nil || hit || string(data) != "ok" {
 		t.Fatalf("retry: %q %v %v", data, hit, err)
+	}
+	// A result its computation declines to persist is served, not stored.
+	key = Key("e/1", []byte("c"), []byte("t"), "degraded")
+	data, hit, err = s.GetOrComputeIf(key, func() ([]byte, bool, error) { return []byte("degraded"), false, nil })
+	if err != nil || hit || string(data) != "degraded" {
+		t.Fatalf("unpersisted: %q %v %v", data, hit, err)
+	}
+	if _, ok := s.Get(key); ok {
+		t.Fatal("a result computed with persist=false was stored")
 	}
 }
 

@@ -7,43 +7,25 @@ import (
 	"testing"
 )
 
-// TestMapCtxCancelStopsNewItems proves cancellation between items: a
-// context cancelled partway through a serial fan-out stops further
-// items and surfaces context.Canceled.
-func TestMapCtxCancelStopsNewItems(t *testing.T) {
+// TestMapAllCtxCancelParallel: under a context cancelled before the
+// fan-out, no item starts on any worker and every item reports ctx's
+// error.
+func TestMapAllCtxCancelParallel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	var started atomic.Int64
-	items := make([]int, 100)
-	_, err := MapCtx(ctx, 1, items, func(int) (int, error) {
-		if started.Add(1) == 3 {
-			cancel()
-		}
-		return 0, nil
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if n := started.Load(); n != 3 {
-		t.Fatalf("started %d items after cancellation at item 3", n)
-	}
-}
-
-// TestMapCtxCancelParallel is the parallel variant: after cancellation
-// no new item starts (in-flight items finish), and the error is ctx's.
-func TestMapCtxCancelParallel(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel() // cancelled before any item starts
+	cancel()
 	var started atomic.Int64
 	items := make([]int, 64)
-	_, err := MapCtx(ctx, 4, items, func(int) (int, error) {
+	_, errs := MapAllCtx(ctx, 4, items, func(int) (int, error) {
 		started.Add(1)
 		return 0, nil
 	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
 	if n := started.Load(); n != 0 {
 		t.Fatalf("%d items started under a pre-cancelled context", n)
+	}
+	for i, err := range errs {
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("errs[%d] = %v, want context.Canceled", i, err)
+		}
 	}
 }
 
@@ -75,28 +57,6 @@ func TestMapAllCtxMarksSkippedItems(t *testing.T) {
 	}
 	if err := JoinErrors(errs); err == nil {
 		t.Fatal("JoinErrors of a cancelled MapAllCtx is nil")
-	}
-}
-
-// TestMapCtxBackgroundMatchesMap pins that the Background-context path
-// behaves exactly like the pre-context API, including the
-// lowest-index-error contract.
-func TestMapCtxBackgroundMatchesMap(t *testing.T) {
-	items := []int{1, 2, 3, 4, 5}
-	boom := errors.New("boom")
-	fn := func(v int) (int, error) {
-		if v == 3 {
-			return 0, boom
-		}
-		return v + 1, nil
-	}
-	outA, errA := Map(2, items, fn)
-	outB, errB := MapCtx(context.Background(), 2, items, fn)
-	if !errors.Is(errA, boom) || !errors.Is(errB, boom) {
-		t.Fatalf("errors = %v / %v, want boom", errA, errB)
-	}
-	if outA != nil || outB != nil {
-		t.Fatalf("failed Map returned results: %v / %v", outA, outB)
 	}
 }
 

@@ -7,7 +7,7 @@ import (
 )
 
 // PanicError is a panic contained by the scheduler: every Job.Run and
-// Map/MapAll callback executes under recover, so one misbehaving
+// MapAllCtx callback executes under recover, so one misbehaving
 // simulation surfaces as a structured error instead of killing the
 // whole fan-out. Tag labels the failed unit (the job tag or item
 // index), Value is the recovered panic value and Stack the goroutine
@@ -37,7 +37,7 @@ func protect[T, R any](tag string, fn func(T) (R, error), v T) (r R, err error) 
 	return fn(v)
 }
 
-// JoinErrors flattens a MapAll error slice (indexed by submission
+// JoinErrors flattens a MapAllCtx error slice (indexed by submission
 // order, nil for succeeded items) into one deterministic error: nil
 // when every item succeeded, otherwise a count-prefixed wrapper around
 // errors.Join of the failures in submission order. errors.Is/As see

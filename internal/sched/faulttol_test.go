@@ -46,22 +46,6 @@ func TestMapAllContainsPanics(t *testing.T) {
 	}
 }
 
-// Map (fail-fast) must also contain panics rather than crash.
-func TestMapContainsPanics(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		_, err := Map(workers, []int{0, 1, 2}, func(i int) (int, error) {
-			if i == 1 {
-				panic(fmt.Sprintf("bad item %d", i))
-			}
-			return i, nil
-		})
-		var pe *PanicError
-		if !errors.As(err, &pe) {
-			t.Fatalf("workers=%d: want *PanicError, got %v", workers, err)
-		}
-	}
-}
-
 // MapAll's error slice must be identical across worker counts.
 func TestMapAllDeterministic(t *testing.T) {
 	items := []int{0, 1, 2, 3, 4, 5, 6, 7}

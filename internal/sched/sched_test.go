@@ -33,10 +33,10 @@ func TestMapOrder(t *testing.T) {
 		items[i] = i
 	}
 	for _, workers := range []int{1, 2, 7, 64} {
-		out, err := sched.Map(workers, items, func(v int) (int, error) {
+		out, errs := sched.MapAll(workers, items, func(v int) (int, error) {
 			return v * v, nil
 		})
-		if err != nil {
+		if err := sched.JoinErrors(errs); err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		for i, v := range out {
@@ -48,18 +48,14 @@ func TestMapOrder(t *testing.T) {
 }
 
 func TestMapEmpty(t *testing.T) {
-	out, err := sched.Map(4, nil, func(int) (int, error) { return 0, nil })
-	if err != nil || len(out) != 0 {
-		t.Fatalf("Map(nil) = %v, %v", out, err)
+	out, errs := sched.MapAll(4, nil, func(int) (int, error) { return 0, nil })
+	if len(out) != 0 || len(errs) != 0 {
+		t.Fatalf("MapAll(nil) = %v, %v", out, errs)
 	}
 }
 
-// TestMapError checks that a failing item surfaces its error and that
-// cancellation keeps not-yet-started items from running. Items after
-// the failing one wait until the failure is recorded, so the workers
-// cannot drain the list first: besides items 0..5, at most one item
-// per other worker (claimed before the failure, held at the gate) may
-// run.
+// TestMapError checks that a failing item surfaces its error at its
+// index while every other item still runs and keeps its result.
 func TestMapError(t *testing.T) {
 	const workers, failAt = 4, 5
 	boom := errors.New("boom")
@@ -67,40 +63,40 @@ func TestMapError(t *testing.T) {
 	for i := range items {
 		items[i] = i
 	}
-	recorded := make(chan struct{})
-	defer sched.SetFailedHook(func() { close(recorded) })()
 	var ran atomic.Int64
-	_, err := sched.Map(workers, items, func(v int) (int, error) {
-		if v > failAt {
-			<-recorded
-		}
+	out, errs := sched.MapAll(workers, items, func(v int) (int, error) {
 		ran.Add(1)
 		if v == failAt {
 			return 0, fmt.Errorf("item %d: %w", v, boom)
 		}
 		return v, nil
 	})
-	if !errors.Is(err, boom) {
-		t.Fatalf("Map error = %v, want wrapped boom", err)
+	if !errors.Is(errs[failAt], boom) {
+		t.Fatalf("errs[%d] = %v, want wrapped boom", failAt, errs[failAt])
 	}
-	if n, limit := ran.Load(), int64(failAt+workers); n > limit {
-		t.Errorf("%d of %d items ran despite the failure at item %d, want at most %d", n, len(items), failAt, limit)
+	if n := ran.Load(); n != int64(len(items)) {
+		t.Errorf("%d of %d items ran, want all", n, len(items))
+	}
+	for i, v := range out {
+		if i != failAt && (errs[i] != nil || v != i) {
+			t.Fatalf("item %d: out %d, err %v", i, v, errs[i])
+		}
 	}
 }
 
-// TestMapErrorSerial checks the workers=1 fast path stops at the first
-// error like a plain loop.
+// TestMapErrorSerial checks that one worker runs the items in
+// submission order, like a plain loop, and keeps going past a failure.
 func TestMapErrorSerial(t *testing.T) {
-	var ran int
-	_, err := sched.Map(1, []int{0, 1, 2, 3}, func(v int) (int, error) {
-		ran++
+	var ran []int
+	_, errs := sched.MapAll(1, []int{0, 1, 2, 3}, func(v int) (int, error) {
+		ran = append(ran, v)
 		if v == 1 {
 			return 0, errors.New("stop")
 		}
 		return v, nil
 	})
-	if err == nil || ran != 2 {
-		t.Fatalf("err=%v ran=%d, want error after 2 items", err, ran)
+	if errs[1] == nil || !reflect.DeepEqual(ran, []int{0, 1, 2, 3}) {
+		t.Fatalf("errs=%v ran=%v, want item 1's error after items 0..3 in order", errs, ran)
 	}
 }
 
@@ -128,8 +124,8 @@ func TestConcurrentModesDeterministic(t *testing.T) {
 			})
 		}
 	}
-	runs, err := sched.Map(len(jobs), jobs, sched.Job.Run)
-	if err != nil {
+	runs, errs := sched.MapAll(len(jobs), jobs, sched.Job.Run)
+	if err := sched.JoinErrors(errs); err != nil {
 		t.Fatal(err)
 	}
 	nm := len(cmp.Modes())
@@ -162,8 +158,8 @@ func TestRunJobsOrder(t *testing.T) {
 	for _, mode := range cmp.Modes() {
 		jobs = append(jobs, sched.Job{Machine: m, Mode: mode, Trace: tr})
 	}
-	runs, err := sched.Map(0, jobs, sched.Job.Run)
-	if err != nil {
+	runs, errs := sched.MapAll(0, jobs, sched.Job.Run)
+	if err := sched.JoinErrors(errs); err != nil {
 		t.Fatal(err)
 	}
 	for i, mode := range cmp.Modes() {

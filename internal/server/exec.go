@@ -322,8 +322,7 @@ func (e engineExecutor) Bench(ctx context.Context, req *BenchRequest) ([]byte, i
 }
 
 func (e engineExecutor) Sim(ctx context.Context, req *SimRequest) ([]byte, int, error) {
-	rep, err := experiments.RunSim(ctx, req.m, req.tr, req.modes, req.Inject,
-		experiments.SimpointParams{Interval: req.SimpointInterval, Warmup: -1}, req.Jobs)
+	rep, err := experiments.RunSim(ctx, req.m, req.tr, req.modes, req.Inject, req.SimpointInterval, req.Jobs)
 	// A deadline or cancellation during the report (504) leaves it
 	// incomplete or late: nothing is rendered, so nothing is cached.
 	if err != nil {

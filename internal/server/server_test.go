@@ -84,25 +84,20 @@ func errKind(t *testing.T, w *httptest.ResponseRecorder) string {
 }
 
 // benchCLI renders the experiment exactly the way fgstpbench does: one
-// session, Run per id, WriteFormat. The byte-identity tests compare
-// server responses against this.
+// session, one Evaluate over the ids, WriteFormat. The byte-identity
+// tests compare server responses against this.
 func benchCLI(t *testing.T, id string, insts uint64, format string) []byte {
 	t.Helper()
-	session := experiments.NewSession(insts, 0)
 	ids := []string{id}
 	if id == "all" {
 		ids = experiments.IDs()
 	}
-	results := make([]*experiments.Result, 0, len(ids))
-	for _, eid := range ids {
-		res, err := session.Run(eid)
-		if err != nil {
-			t.Fatal(err)
-		}
-		results = append(results, res)
+	ev, err := experiments.NewSession(insts, 0).Evaluate(context.Background(), ids)
+	if err != nil {
+		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := experiments.WriteFormat(&buf, format, insts, results); err != nil {
+	if err := experiments.WriteFormat(&buf, format, insts, ev.Results); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()

@@ -94,7 +94,8 @@ type Estimate struct {
 // restored at its checkpoint: the warmup region absorbs residual
 // cold-start state and only the measured region counts. Aggregation is
 // deterministic — results combine in representative order regardless of
-// worker interleaving.
+// worker interleaving. Every slice runs; if any fails, the error is the
+// one of the lowest-index failed slice.
 func EstimateCPI(reps []Representative, intervalInsts, warmup, traceLen, jobs int, sim SliceFn) (Estimate, error) {
 	if sim == nil {
 		return Estimate{}, fmt.Errorf("simpoint: nil simulate function")
@@ -111,7 +112,7 @@ func EstimateCPI(reps []Representative, intervalInsts, warmup, traceLen, jobs in
 		cycles uint64
 		insts  uint64
 	}
-	results, err := sched.Map(jobs, slices, func(s Slice) (measured, error) {
+	results, errs := sched.MapAll(jobs, slices, func(s Slice) (measured, error) {
 		cycles, insts, err := sim(s.WStart, s.Start, s.End)
 		if err != nil {
 			return measured{}, err
@@ -121,8 +122,10 @@ func EstimateCPI(reps []Representative, intervalInsts, warmup, traceLen, jobs in
 		}
 		return measured{cycles, insts}, nil
 	})
-	if err != nil {
-		return Estimate{}, err
+	for _, err := range errs {
+		if err != nil {
+			return Estimate{}, err
+		}
 	}
 
 	// Weighted point estimate and between-representative variance.

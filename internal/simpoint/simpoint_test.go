@@ -1,7 +1,9 @@
 package simpoint
 
 import (
+	"fmt"
 	"math"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/cmp"
@@ -299,6 +301,23 @@ func TestEstimateCPIErrors(t *testing.T) {
 	zero := func(wstart, start, end int) (uint64, uint64, error) { return 0, 0, nil }
 	if _, err := EstimateCPI([]Representative{{Weight: 1}}, 100, 0, 1000, 1, zero); err == nil {
 		t.Error("zero measured instructions accepted")
+	}
+	// Every slice runs, and the error is the lowest-index failed slice's,
+	// at any worker count.
+	reps = []Representative{{Start: 0, Weight: 0.25}, {Start: 100, Weight: 0.25}, {Start: 200, Weight: 0.25}, {Start: 300, Weight: 0.25}}
+	for _, jobs := range []int{1, 4} {
+		var ran atomic.Int64
+		failing := func(wstart, start, end int) (uint64, uint64, error) {
+			ran.Add(1)
+			if start == 100 || start == 300 {
+				return 0, 0, fmt.Errorf("slice at %d failed", start)
+			}
+			return 10, 10, nil
+		}
+		_, err := EstimateCPI(reps, 100, 0, 1000, jobs, failing)
+		if err == nil || err.Error() != "slice at 100 failed" || ran.Load() != 4 {
+			t.Errorf("jobs %d: error %v after %d of 4 slices, want slice 100's after all 4", jobs, err, ran.Load())
+		}
 	}
 }
 

@@ -28,7 +28,9 @@
 #                   reports for -jobs 1 and -jobs 4; then the same over
 #                   the whole evaluation (-experiment all), where the
 #                   poisoned Fg-STP cells are left out of the cell plan
-#                   and fail while their experiments render
+#                   and fail while their experiments render, and over
+#                   the E11 energy extension, whose report must carry
+#                   its DEGRADED note
 #   json smoke      fgstpbench -format json must emit a valid export
 #                   (scripts/jsoncheck) byte-identical across -jobs,
 #                   and fgstpsim -tracejson a valid Chrome trace; the
@@ -118,6 +120,17 @@ cmp "$tmp/degraded-all1.txt" "$tmp/degraded-all4.txt" || {
     echo "degraded whole evaluation differs between -jobs 1 and -jobs 4"; exit 1; }
 grep -q 'FAIL(livelock)' "$tmp/degraded-all1.txt" || {
     echo "degraded whole evaluation missing FAIL(livelock) cell"; exit 1; }
+for j in 1 4; do
+    status=0
+    "$tmp/fgstpbench" -experiment E11 -insts 3000 -inject gobmk -jobs "$j" \
+        >"$tmp/degraded-e11-$j.txt" 2>/dev/null || status=$?
+    [ "$status" -eq 1 ] || {
+        echo "degraded E11 (-jobs $j) exited $status, want 1"; exit 1; }
+done
+cmp "$tmp/degraded-e11-1.txt" "$tmp/degraded-e11-4.txt" || {
+    echo "degraded E11 differs between -jobs 1 and -jobs 4"; exit 1; }
+grep -q 'DEGRADED: excluded' "$tmp/degraded-e11-1.txt" || {
+    echo "degraded E11 missing its DEGRADED note"; exit 1; }
 
 echo "== json-export smoke (valid export, jobs-determinism, pipeline trace)"
 "$tmp/fgstpbench" -experiment E2 -insts 3000 -format json -jobs 1 \

@@ -61,8 +61,7 @@ func run() int {
 			return 2
 		}
 		tr := w.Trace(*insts)
-		rep, err := experiments.RunSim(context.Background(), m, tr, cmp.Modes(), "",
-			experiments.SimpointParams{Interval: *interval, Warmup: -1}, *jobs)
+		rep, err := experiments.RunSim(context.Background(), m, tr, cmp.Modes(), "", *interval, *jobs)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "simpointcheck:", err)
 			return 2
