@@ -86,8 +86,8 @@ type Options struct {
 	// Sink receives pipeline events from the machine under test; they
 	// render into a Chrome trace via metrics.WriteChromeTrace.
 	Sink metrics.Sink
-	// Deprecated: HotBlock is read by nothing. It stays only because
-	// bench/'s traced run still sets it (ROADMAP item 2).
+	// Deprecated: HotBlock is read by nothing. bench/'s traced run still
+	// sets it until ROADMAP item 4; item 5 then deletes the field.
 	HotBlock *hotblock.Counters
 }
 

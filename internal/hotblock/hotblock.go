@@ -1,7 +1,7 @@
 // Package hotblock keeps the one name left from the deleted hot-block
 // timing-memoization engine: the telemetry record that bench/'s traced
-// run still reads. ROADMAP item 2 removes that last user, and this
-// package with it.
+// run still reads. ROADMAP item 4 updates bench/ to drop that last
+// user, and item 5 then deletes this package.
 package hotblock
 
 // Counters was the replay telemetry of one run or, through Merge, of

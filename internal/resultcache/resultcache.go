@@ -8,8 +8,8 @@
 // Robustness properties, each load-bearing for a long-running server:
 //
 //   - Keys are SHA-256 over length-framed components (engine version,
-//     canonical config, trace bytes, job parameters), so no two
-//     distinct jobs can collide by concatenation ambiguity.
+//     canonical config, trace bytes or their digest, job parameters),
+//     so no two distinct jobs can collide by concatenation ambiguity.
 //   - Writes are atomic: payloads land in a temp file and rename into
 //     place, so a crashed or SIGKILLed writer never leaves a partial
 //     entry visible.
@@ -45,11 +45,12 @@ import (
 
 // Key derives the content address of a job result: SHA-256 in hex over
 // the engine version, the canonicalized machine configuration, the
-// workload trace bytes and the job parameters (kind, mode, format,
-// …). Every component is length-framed before hashing, so moving bytes
-// between components always changes the key. Identical inputs yield
-// identical keys on every platform and process; any single-component
-// delta yields a different key.
+// workload trace's identity (fgstpd passes the digest
+// Key("trace", nil, <trace file bytes>)) and the job parameters (kind,
+// mode, format, …). Every component is length-framed before hashing,
+// so moving bytes between components always changes the key. Identical
+// inputs yield identical keys on every platform and process; any
+// single-component delta yields a different key.
 func Key(engineVersion string, configJSON, traceBytes []byte, params ...string) string {
 	h := sha256.New()
 	frame := func(b []byte) {

@@ -50,8 +50,8 @@ type Job struct {
 	// Faults optionally injects deterministic faults into the run
 	// (testing and fault drills); nil simulates normally.
 	Faults cmp.Faults
-	// Deprecated: HotBlock is read by nothing. It stays only because
-	// bench/'s traced run still sets it (ROADMAP item 2).
+	// Deprecated: HotBlock is read by nothing. bench/'s traced run still
+	// sets it until ROADMAP item 4; item 5 then deletes the field.
 	HotBlock *hotblock.Counters
 }
 

@@ -1,10 +1,8 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/cmp"
@@ -69,11 +67,12 @@ func cellStatsFrom(ctx context.Context) *cellStats {
 
 // cellKey content-addresses one simulation cell: engine version,
 // canonical cell config (experiments.CellConfig, the identity the
-// session memo uses too) and the trace hash pin the simulation inputs
-// exactly (the trace hash subsumes workload identity and instruction
+// session memo uses too) and the trace digest pin the simulation inputs
+// exactly (the digest subsumes workload identity and instruction
 // budget — same bytes, same result); the mode and workload name ride
-// along for debuggability. traceSum is the SHA-256 key of the captured
-// trace bytes, hashed once per workload per request, not per cell.
+// along for debuggability. traceSum is the trace's content digest
+// (traceDigests), computed once per (workload, insts) per process, not
+// per cell or per request.
 func cellKey(m config.Machine, mode cmp.Mode, workload, traceSum string) (string, error) {
 	cfgJSON, err := experiments.CellConfig(m, mode)
 	if err != nil {
@@ -84,10 +83,13 @@ func cellKey(m config.Machine, mode cmp.Mode, workload, traceSum string) (string
 }
 
 // cellRunner builds the CellFunc the engine executor installs on a
-// session: every clean cell is served from the result cache when
-// possible, computed and persisted otherwise. st (nil-safe) receives
-// the per-request traffic counts; the server-global cell counters feed
-// /metricz either way.
+// session at budget insts: every clean cell is served from the result
+// cache when possible, computed and persisted otherwise. The session
+// has already captured each trace it hands the runner (every trace is
+// its workload at insts), so the server's digest memo is keyed by that
+// pair and saves and hashes a trace only the first time the process
+// sees it. st (nil-safe) receives the per-request traffic counts; the
+// server-global cell counters feed /metricz either way.
 //
 // Correctness leans on the repository's determinism contract: a cell
 // result is a pure function of (engine version, canonical config,
@@ -95,32 +97,13 @@ func cellKey(m config.Machine, mode cmp.Mode, workload, traceSum string) (string
 // round-tripped through JSON is byte-equivalent to a fresh simulation
 // (stats.Run marshals losslessly — uint64 counts and shortest-round-
 // trip float64 counters, name-sorted).
-func (s *Server) cellRunner(st *cellStats) experiments.CellFunc {
-	// traceSums memoises the trace hash per workload for this session:
-	// traces are immutable after capture and shared session-wide, so one
-	// hash per workload covers every cell on it.
-	var mu sync.Mutex
-	traceSums := map[string]string{}
-	sumOf := func(w workloads.Workload, tr *trace.Trace) (string, error) {
-		mu.Lock()
-		defer mu.Unlock()
-		if sum, ok := traceSums[w.Name]; ok {
-			return sum, nil
-		}
-		var tb bytes.Buffer
-		if err := tr.Save(&tb); err != nil {
-			return "", err
-		}
-		sum := resultcache.Key("trace", nil, tb.Bytes())
-		traceSums[w.Name] = sum
-		return sum, nil
-	}
+func (s *Server) cellRunner(st *cellStats, insts uint64) experiments.CellFunc {
 	return func(m config.Machine, mode cmp.Mode, w workloads.Workload, tr *trace.Trace) (stats.Run, error) {
 		if st != nil {
 			st.runs.Add(1)
 		}
 		s.nCellRuns.Add(1)
-		sum, err := sumOf(w, tr)
+		sum, err := s.digests.digest(traceID{w.Name, insts}, func() (*trace.Trace, error) { return tr, nil })
 		if err != nil {
 			return cmp.Run(m, mode, tr) // unkeyable, run uncached
 		}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -146,9 +147,10 @@ type SimRequest struct {
 	// server's maximum (0 = server default).
 	TimeoutMillis int64 `json:"timeout_ms,omitempty"`
 
-	m     config.Machine // resolved by validate
-	tr    *trace.Trace
+	w     workloads.Workload // resolved by validate
+	m     config.Machine
 	modes []cmp.Mode
+	tr    *trace.Trace // captured by cacheKey on a digest miss, else by Sim
 }
 
 // simpointIntervalFloor is the smallest interval a request may sample
@@ -157,10 +159,10 @@ type SimRequest struct {
 // on a maximum-length trace with a one-instruction interval.
 const simpointIntervalFloor = 1000
 
-// validate normalises defaults, resolves the machine and captures the
-// workload trace (deterministic, so safe to do before admission — the
-// trace bytes are the cache-key component). Any error is a client
-// error (HTTP 400).
+// validate normalises defaults and resolves the workload, the machine
+// and the modes. It captures nothing: cacheKey captures the trace only
+// when its digest is not memoised. Any error is a client error (HTTP
+// 400).
 func (q *SimRequest) validate() error {
 	if q.Workload == "" {
 		q.Workload = "mcf"
@@ -169,6 +171,7 @@ func (q *SimRequest) validate() error {
 	if !ok {
 		return fmt.Errorf("unknown workload %q", q.Workload)
 	}
+	q.w = w
 	if len(q.Config) > 0 {
 		m, err := config.FromJSON(q.Config)
 		if err != nil {
@@ -228,30 +231,41 @@ func (q *SimRequest) validate() error {
 	if q.TimeoutMillis < 0 {
 		return fmt.Errorf("negative timeout_ms %d", q.TimeoutMillis)
 	}
-	q.tr = w.Trace(q.Insts)
-	if q.tr.Len() == 0 {
-		return fmt.Errorf("workload %q yielded an empty trace", q.Workload)
-	}
 	return nil
 }
 
 func (q *SimRequest) cacheable() bool { return q.Inject == "" }
 
+// errEmptyTrace marks a workload whose trace at the requested budget
+// holds no instruction: a client error (HTTP 400), found only when the
+// key captures the trace.
+var errEmptyTrace = errors.New("yielded an empty trace")
+
 // cacheKey content-addresses the request over the exact inputs of the
-// simulation: engine version, canonical machine config and the captured
-// trace bytes, plus the mode/format/sampling parameters. The sampling
-// interval is a key component: a sampled response carries estimates a
-// plain run's does not, so the two must never share a cache entry.
-func (q *SimRequest) cacheKey() (string, error) {
+// simulation: engine version, canonical machine config and the trace's
+// content digest, plus the mode/format/sampling parameters. The digest
+// comes from d, so only a (workload, insts) pair d does not hold
+// captures the trace — kept in q.tr for the run — and saves it; an
+// empty trace fails with errEmptyTrace. The sampling interval is a key
+// component: a sampled response carries estimates a plain run's does
+// not, so the two must never share a cache entry.
+func (q *SimRequest) cacheKey(d *traceDigests) (string, error) {
 	cfg, err := q.m.ToJSON()
 	if err != nil {
 		return "", err
 	}
-	var tb bytes.Buffer
-	if err := q.tr.Save(&tb); err != nil {
+	sum, err := d.digest(traceID{q.Workload, q.Insts}, func() (*trace.Trace, error) {
+		tr := q.w.Trace(q.Insts)
+		if tr.Len() == 0 {
+			return nil, fmt.Errorf("workload %q %w", q.Workload, errEmptyTrace)
+		}
+		q.tr = tr
+		return tr, nil
+	})
+	if err != nil {
 		return "", err
 	}
-	return resultcache.Key(cmp.EngineVersion, cfg, tb.Bytes(),
+	return resultcache.Key(cmp.EngineVersion, cfg, []byte(sum),
 		"sim", q.Mode, strconv.FormatUint(q.Insts, 10), q.Format, q.Inject,
 		strconv.Itoa(q.SimpointInterval)), nil
 }
@@ -300,7 +314,7 @@ func (e engineExecutor) Bench(ctx context.Context, req *BenchRequest) ([]byte, i
 	// experiments and repeated sweeps share work below the document
 	// level.
 	if e.srv != nil && e.srv.cache != nil && req.Inject == "" {
-		session.SetCellRunner(e.srv.cellRunner(cellStatsFrom(ctx)))
+		session.SetCellRunner(e.srv.cellRunner(cellStatsFrom(ctx), req.Insts))
 	}
 	ev, err := session.Evaluate(ctx, req.ids)
 	if err != nil {
@@ -322,6 +336,10 @@ func (e engineExecutor) Bench(ctx context.Context, req *BenchRequest) ([]byte, i
 }
 
 func (e engineExecutor) Sim(ctx context.Context, req *SimRequest) ([]byte, int, error) {
+	if req.tr == nil {
+		// The key found the trace's digest memoised and captured nothing.
+		req.tr = req.w.Trace(req.Insts)
+	}
 	rep, err := experiments.RunSim(ctx, req.m, req.tr, req.modes, req.Inject, req.SimpointInterval, req.Jobs)
 	// A deadline or cancellation during the report (504) leaves it
 	// incomplete or late: nothing is rendered, so nothing is cached.

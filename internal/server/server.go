@@ -116,6 +116,10 @@ type Server struct {
 	wg    sync.WaitGroup
 	mux   *http.ServeMux
 
+	// digests memoises trace digests for every request the server
+	// handles: /v1/sim keys and the cell keys of bench and sweep units.
+	digests traceDigests
+
 	draining atomic.Bool
 
 	// Counters feed /metricz; atomics because handlers race.
@@ -420,7 +424,11 @@ func (s *Server) handleSim(w http.ResponseWriter, r *http.Request) {
 	if !s.chaosAllowed(w, req.Inject) {
 		return
 	}
-	key, err := req.cacheKey()
+	key, err := req.cacheKey(&s.digests)
+	if errors.Is(err, errEmptyTrace) {
+		s.writeError(w, &result{status: http.StatusBadRequest, errDoc: &errorBody{Kind: "invalid", Message: err.Error()}})
+		return
+	}
 	if err != nil {
 		s.writeError(w, s.classify(err))
 		return
@@ -574,6 +582,8 @@ func (s *Server) handleMetricz(w http.ResponseWriter, r *http.Request) {
 	reg.Set("fgstpd_cell_runs", float64(s.nCellRuns.Load()))
 	reg.Set("fgstpd_cell_hits", float64(s.nCellHits.Load()))
 	reg.Set("fgstpd_cell_misses", float64(s.nCellMisses.Load()))
+	reg.Set("fgstpd_trace_digest_hits", float64(s.digests.hits.Load()))
+	reg.Set("fgstpd_trace_digest_misses", float64(s.digests.misses.Load()))
 	total, tenants := s.q.depth()
 	reg.Set("fgstpd_queue_depth", float64(total))
 	reg.Set("fgstpd_queue_tenants", float64(tenants))

@@ -620,6 +620,8 @@ func TestMetricz(t *testing.T) {
 		"fgstpd_errors 1",
 		"fgstpd_cache_hits 1",
 		"fgstpd_cache_misses 1",
+		"fgstpd_trace_digest_misses 1",
+		"fgstpd_trace_digest_hits 1",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("metricz missing %q:\n%s", want, body)

@@ -55,8 +55,14 @@
 #                   2-experiment sweep whose documents must equal the
 #                   fgstpbench exports, then re-run it and require the
 #                   whole sweep served from cache (zero cells run);
-#                   finally SIGTERM with a job in flight must drain
-#                   gracefully — the job finishes, the daemon exits 0
+#                   submit one /v1/sim job twice (gcc on small at 4000
+#                   instructions, a budget no earlier step uses): both
+#                   documents must equal fgstpsim stdout, and /metricz
+#                   must show the pair added one document-cache hit and
+#                   one trace-digest miss (the repeat captures and
+#                   saves nothing); finally SIGTERM with a job in
+#                   flight must drain gracefully — the job finishes,
+#                   the daemon exits 0
 #   signal smoke    SIGTERM sent the moment /readyz answers 200 must
 #                   drain, not kill: the daemon exits 0, "drained cleanly"
 set -eu
@@ -226,6 +232,24 @@ cmp "$tmp/sweep1/E2-3000.json" "$tmp/sweep2/E2-3000.json" || {
     echo "repeated sweep E2 document differs"; exit 1; }
 grep -q 'sweep done: .* cells run=0 hit=0 miss=0' "$tmp/sweep2.log" || {
     echo "repeated sweep recomputed cells"; cat "$tmp/sweep2.log"; exit 1; }
+# Sim round-trip: both submits must equal fgstpsim stdout; the pair must
+# add one document-cache hit and one trace-digest miss, because the
+# daemon keys each (workload, budget) trace once.
+"$tmp/fgstpsim" -workload gcc -machine small -insts 4000 -format json -jobs 1 \
+    >"$tmp/sim.json" 2>/dev/null
+metric() { curl -fsS "$addr/metricz" | awk -v n="$1" '$1 == n { print $2 }'; }
+hits0="$(metric fgstpd_cache_hits)"
+digests0="$(metric fgstpd_trace_digest_misses)"
+for i in 1 2; do
+    "$tmp/fgstpd" submit -addr "$addr" -kind sim -workload gcc -machine small -insts 4000 \
+        -format json >"$tmp/servedsim$i.json"
+    cmp "$tmp/sim.json" "$tmp/servedsim$i.json" || {
+        echo "served sim $i differs from fgstpsim stdout"; exit 1; }
+done
+hits=$(($(metric fgstpd_cache_hits) - hits0))
+digests=$(($(metric fgstpd_trace_digest_misses) - digests0))
+[ "$hits" -eq 1 ] && [ "$digests" -eq 1 ] || {
+    echo "sim pair added $hits cache hits and $digests trace-digest misses, want 1 and 1"; exit 1; }
 # SIGTERM with a job in flight: the drain finishes the job (the client
 # receives a complete document) and the daemon exits 0.
 "$tmp/fgstpd" submit -addr "$addr" -kind bench -experiment E5 -insts 60000 -format json \
