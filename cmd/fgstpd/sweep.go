@@ -16,45 +16,7 @@ import (
 
 // The sweep client consumes the fgstpd.sweep/1 NDJSON stream: a header
 // record, one record per completed unit as it lands, a terminal summary
-// record. The record structs mirror the server's stream schema.
-
-type sweepStreamHeader struct {
-	Schema      string   `json:"schema"`
-	Units       int      `json:"units"`
-	Experiments []string `json:"experiments"`
-	Insts       []uint64 `json:"insts"`
-	Format      string   `json:"format"`
-}
-
-type sweepStreamCells struct {
-	Runs   int64 `json:"runs"`
-	Hits   int64 `json:"hits"`
-	Misses int64 `json:"misses"`
-}
-
-type sweepStreamRecord struct {
-	// Unit fields.
-	Unit       *int             `json:"unit,omitempty"`
-	Experiment string           `json:"experiment,omitempty"`
-	Insts      uint64           `json:"insts,omitempty"`
-	Status     int              `json:"status,omitempty"`
-	Exit       int              `json:"exit,omitempty"`
-	Cache      string           `json:"cache,omitempty"`
-	Cells      sweepStreamCells `json:"cells,omitempty"`
-	Document   string           `json:"document,omitempty"`
-	Error      *struct {
-		Kind    string `json:"kind"`
-		Message string `json:"message"`
-		Status  int    `json:"status"`
-	} `json:"error,omitempty"`
-
-	// Summary fields (terminal record).
-	Done     bool `json:"done,omitempty"`
-	Units    int  `json:"units,omitempty"`
-	OK       int  `json:"ok,omitempty"`
-	Degraded int  `json:"degraded,omitempty"`
-	Failed   int  `json:"failed,omitempty"`
-}
+// record, each decoded with the server's own record types.
 
 func sweepCmd(args []string) int {
 	fs := flag.NewFlagSet("fgstpd sweep", flag.ContinueOnError)
@@ -118,19 +80,20 @@ func sweepCmd(args []string) int {
 		if len(line) == 0 {
 			continue
 		}
-		// The header's list-valued fields clash with the unit record's
-		// scalars, so sniff the record kind before the full decode.
+		// The records share field names (the header's list-valued insts
+		// against a unit's scalar), so probe the kind before the decode.
 		var probe struct {
 			Schema string `json:"schema"`
+			Unit   *int   `json:"unit"`
+			Done   bool   `json:"done"`
 		}
-		if err := json.Unmarshal(line, &probe); err != nil {
-			fmt.Fprintf(os.Stderr, "fgstpd: bad stream record: %v\n", err)
+		if !decodeRecord(line, &probe) {
 			return 2
 		}
-		if probe.Schema != "" {
-			var hdr sweepStreamHeader
-			if err := json.Unmarshal(line, &hdr); err != nil {
-				fmt.Fprintf(os.Stderr, "fgstpd: bad stream header: %v\n", err)
+		switch {
+		case probe.Schema != "":
+			var hdr server.SweepHeader
+			if !decodeRecord(line, &hdr) {
 				return 2
 			}
 			if hdr.Schema != server.SweepSchemaVersion {
@@ -140,26 +103,26 @@ func sweepCmd(args []string) int {
 			ext = formatExt(hdr.Format)
 			fmt.Fprintf(os.Stderr, "fgstpd: sweep of %d units (%s × %s)\n",
 				hdr.Units, strings.Join(hdr.Experiments, ","), joinUints(hdr.Insts))
-			continue
-		}
-		var rec sweepStreamRecord
-		if err := json.Unmarshal(line, &rec); err != nil {
-			fmt.Fprintf(os.Stderr, "fgstpd: bad stream record: %v\n", err)
-			return 2
-		}
-		switch {
-		case rec.Unit != nil:
+		case probe.Unit != nil:
+			var rec server.SweepUnitRecord
+			if !decodeRecord(line, &rec) {
+				return 2
+			}
 			if err := renderUnit(&rec, *dir, ext); err != nil {
 				fmt.Fprintln(os.Stderr, "fgstpd:", err)
 				return 2
 			}
-		case rec.Done:
+		case probe.Done:
+			var sum server.SweepSummary
+			if !decodeRecord(line, &sum) {
+				return 2
+			}
 			sawSummary = true
 			fmt.Fprintf(os.Stderr,
 				"fgstpd: sweep done: %d units, %d ok, %d degraded, %d failed; cells run=%d hit=%d miss=%d\n",
-				rec.Units, rec.OK, rec.Degraded, rec.Failed,
-				rec.Cells.Runs, rec.Cells.Hits, rec.Cells.Misses)
-			exit = rec.Exit
+				sum.Units, sum.OK, sum.Degraded, sum.Failed,
+				sum.Cells.Runs, sum.Cells.Hits, sum.Cells.Misses)
+			exit = sum.Exit
 		default:
 			fmt.Fprintf(os.Stderr, "fgstpd: unrecognised stream record: %s\n", line)
 			return 2
@@ -176,18 +139,28 @@ func sweepCmd(args []string) int {
 	return exit
 }
 
+// decodeRecord decodes one stream line into v, reporting a bad record
+// on stderr.
+func decodeRecord(line []byte, v any) bool {
+	if err := json.Unmarshal(line, v); err != nil {
+		fmt.Fprintf(os.Stderr, "fgstpd: bad stream record: %v\n", err)
+		return false
+	}
+	return true
+}
+
 // renderUnit reports one landed unit on stderr and delivers its
 // document: to <dir>/<experiment>-<insts>.<ext> with -dir, to stdout
 // otherwise (units print in completion order; use -dir when documents
 // must be kept apart).
-func renderUnit(rec *sweepStreamRecord, dir, ext string) error {
+func renderUnit(rec *server.SweepUnitRecord, dir, ext string) error {
 	if rec.Status != http.StatusOK {
 		kind, msg := "error", "no detail"
 		if rec.Error != nil {
 			kind, msg = rec.Error.Kind, rec.Error.Message
 		}
 		fmt.Fprintf(os.Stderr, "fgstpd: unit %d %s@%d FAILED %d (%s): %s\n",
-			*rec.Unit, rec.Experiment, rec.Insts, rec.Status, kind, msg)
+			rec.Unit, rec.Experiment, rec.Insts, rec.Status, kind, msg)
 		return nil
 	}
 	state := rec.Cache
@@ -195,7 +168,7 @@ func renderUnit(rec *sweepStreamRecord, dir, ext string) error {
 		state = "uncached"
 	}
 	fmt.Fprintf(os.Stderr, "fgstpd: unit %d %s@%d exit %d cache %s cells run=%d hit=%d miss=%d\n",
-		*rec.Unit, rec.Experiment, rec.Insts, rec.Exit, state,
+		rec.Unit, rec.Experiment, rec.Insts, rec.Exit, state,
 		rec.Cells.Runs, rec.Cells.Hits, rec.Cells.Misses)
 	if dir == "" {
 		_, err := os.Stdout.WriteString(rec.Document)

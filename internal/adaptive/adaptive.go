@@ -3,7 +3,9 @@
 // Fg-STP mode when a single thread benefits, and back to independent
 // cores when it does not. This package models a phase-granularity
 // controller that chooses the execution mode per phase of a program,
-// charging a reconfiguration penalty on every switch.
+// charging a reconfiguration penalty on every switch. Every phase is
+// simulated once in both modes; each policy is then scored from those
+// measurements, so comparing policies costs no further simulation.
 //
 // It is an extension of the reproduction (the paper evaluates the
 // steady-state modes; region-level policy is future work there). Phase
@@ -14,6 +16,7 @@ package adaptive
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/cmp"
 	"repro/internal/config"
@@ -93,106 +96,111 @@ func (r *Result) IPC() float64 {
 	return float64(r.Insts) / float64(r.TotalCycles)
 }
 
-// Run simulates tr phase by phase under the given policy. Both modes
-// are measured for every phase (the measurements drive oracle/history
-// decisions and let callers compare policies from one Result set).
+// Run simulates tr phase by phase in both modes, then scores the
+// measurements under policy (see Compare for every policy at once).
 func Run(m config.Machine, tr *trace.Trace, cfg Config, policy Policy) (Result, error) {
-	if err := cfg.Validate(); err != nil {
+	if !slices.Contains(Policies(), policy) {
+		return Result{}, fmt.Errorf("adaptive: unknown policy %q", policy)
+	}
+	phases, err := measure(m, tr, cfg)
+	if err != nil {
 		return Result{}, err
 	}
-	if tr.Len() == 0 {
-		return Result{}, fmt.Errorf("adaptive: empty trace")
-	}
-	res := Result{Workload: tr.Name, Policy: policy, Insts: uint64(tr.Len())}
-	prevChoice := cmp.ModeSingle // cores start unreconfigured
-	first := true
+	return score(tr, phases, cfg, policy), nil
+}
 
+// measure simulates every phase of tr in both modes. The phases it
+// returns carry the measurements only; score makes the choices.
+func measure(m config.Machine, tr *trace.Trace, cfg Config) ([]Phase, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	if tr.Len() == 0 {
+		return nil, fmt.Errorf("adaptive: empty trace")
+	}
+	var phases []Phase
 	for start := 0; start < tr.Len(); start += cfg.PhaseInsts {
-		end := start + cfg.PhaseInsts
-		if end > tr.Len() {
-			end = tr.Len()
-		}
-		sub := tr.Slice(start, end)
+		sub := tr.Slice(start, min(start+cfg.PhaseInsts, tr.Len()))
 		single, err := cmp.Run(m, cmp.ModeSingle, sub)
 		if err != nil {
-			return Result{}, err
+			return nil, err
 		}
 		fgstp, err := cmp.Run(m, cmp.ModeFgSTP, sub)
 		if err != nil {
-			return Result{}, err
+			return nil, err
 		}
-		ph := Phase{
-			Index:        len(res.Phases),
+		phases = append(phases, Phase{
+			Index:        len(phases),
 			Insts:        sub.Len(),
 			CyclesSingle: single.Cycles,
 			CyclesFgSTP:  fgstp.Cycles,
-		}
+		})
+	}
+	return phases, nil
+}
 
+// score chooses a mode for each measured phase under policy and charges
+// SwitchPenalty on every change of mode. The cores start unreconfigured,
+// so choosing Fg-STP for the first phase is a switch too. It simulates
+// nothing.
+func score(tr *trace.Trace, measured []Phase, cfg Config, policy Policy) Result {
+	res := Result{Workload: tr.Name, Policy: policy, Insts: uint64(tr.Len()),
+		Phases: make([]Phase, len(measured))}
+	prev := cmp.ModeSingle
+	for i, ph := range measured {
 		switch policy {
 		case PolicyOracle:
-			if ph.CyclesFgSTP < ph.CyclesSingle {
-				ph.Chosen = cmp.ModeFgSTP
-			} else {
-				ph.Chosen = cmp.ModeSingle
-			}
+			ph.Chosen = winner(ph)
 		case PolicyHistory:
-			if first {
-				// Cold start: sample in single-core mode.
-				ph.Chosen = cmp.ModeSingle
-			} else {
-				ph.Chosen = prevWinner(res.Phases[len(res.Phases)-1])
+			// Cold start: sample in single-core mode.
+			ph.Chosen = cmp.ModeSingle
+			if i > 0 {
+				ph.Chosen = winner(measured[i-1])
 			}
 		case PolicyAlwaysFgSTP:
 			ph.Chosen = cmp.ModeFgSTP
 		case PolicyAlwaysSingle:
 			ph.Chosen = cmp.ModeSingle
-		default:
-			return Result{}, fmt.Errorf("adaptive: unknown policy %q", policy)
 		}
-
 		cycles := ph.CyclesSingle
 		if ph.Chosen == cmp.ModeFgSTP {
 			cycles = ph.CyclesFgSTP
 		}
-		if !first && ph.Chosen != prevChoice {
-			ph.Switched = true
-			res.Switches++
-			cycles += cfg.SwitchPenalty
-		}
-		if first && ph.Chosen == cmp.ModeFgSTP {
-			// Initial reconfiguration also costs.
+		if ph.Chosen != prev {
 			ph.Switched = true
 			res.Switches++
 			cycles += cfg.SwitchPenalty
 		}
 		res.TotalCycles += cycles
-		prevChoice = ph.Chosen
-		first = false
-		res.Phases = append(res.Phases, ph)
+		prev = ph.Chosen
+		res.Phases[i] = ph
 	}
-	return res, nil
+	return res
 }
 
-func prevWinner(p Phase) cmp.Mode {
+// winner returns the faster mode of a measured phase (single on a tie).
+func winner(p Phase) cmp.Mode {
 	if p.CyclesFgSTP < p.CyclesSingle {
 		return cmp.ModeFgSTP
 	}
 	return cmp.ModeSingle
 }
 
-// Compare runs every policy on the same trace and returns a formatted
-// table plus per-policy IPCs keyed by policy name.
+// Compare measures every phase of tr once, scores every policy on those
+// measurements and returns a formatted table plus the per-policy
+// results keyed by policy. Each result equals Run's for that policy.
 func Compare(m config.Machine, tr *trace.Trace, cfg Config) (*stats.Table, map[Policy]Result, error) {
+	phases, err := measure(m, tr, cfg)
+	if err != nil {
+		return nil, nil, err
+	}
 	tb := stats.NewTable(
 		fmt.Sprintf("adaptive reconfiguration on %s (%d-inst phases, %d-cycle switch)",
 			tr.Name, cfg.PhaseInsts, cfg.SwitchPenalty),
 		"policy", "cycles", "IPC", "switches", "fgstp phases")
-	out := make(map[Policy]Result, 4)
+	out := make(map[Policy]Result, len(Policies()))
 	for _, p := range Policies() {
-		r, err := Run(m, tr, cfg, p)
-		if err != nil {
-			return nil, nil, err
-		}
+		r := score(tr, phases, cfg, p)
 		out[p] = r
 		fg := 0
 		for _, ph := range r.Phases {

@@ -1,6 +1,7 @@
 package adaptive
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/cmp"
@@ -161,5 +162,34 @@ func TestStaticPoliciesStable(t *testing.T) {
 	}
 	if rf.Switches != 1 {
 		t.Errorf("always-fgstp switched %d times, want the initial 1", rf.Switches)
+	}
+}
+
+// Compare measures the phases once and scores every policy from them:
+// each of its results must equal a Run of that policy alone.
+func TestCompareMatchesRun(t *testing.T) {
+	tr := testTrace(t, "astar", 20_000)
+	cfg := Config{PhaseInsts: 2_500, SwitchPenalty: 200}
+	m := config.Medium()
+	_, results, err := Compare(m, tr, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(results) != len(Policies()) {
+		t.Fatalf("Compare returned %d policies, want %d", len(results), len(Policies()))
+	}
+	switched := false
+	for _, p := range Policies() {
+		r, err := Run(m, tr, cfg, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(results[p], r) {
+			t.Errorf("%s: Compare's result differs from Run's:\n%+v\n%+v", p, results[p], r)
+		}
+		switched = switched || r.Switches > 1
+	}
+	if !switched {
+		t.Error("no policy switched mode after the first phase; the comparison shows little")
 	}
 }

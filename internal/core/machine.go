@@ -559,10 +559,6 @@ func (m *Machine) checkRemoteViolation(s *ooo.UOp, otherCore int, now int64) {
 	m.requestSquash(victim.GSeq())
 }
 
-// OnComplete implements ooo.Hooks (the machine keys everything off
-// OnIssue, which already knows the completion time).
-func (h *coreHooks) OnComplete(u *ooo.UOp, now int64) {}
-
 // CanCommit implements ooo.Hooks: collective in-order commit — a core
 // may retire an instruction once everything older (on both cores) has
 // finished executing, so retirement proceeds in parallel on both cores

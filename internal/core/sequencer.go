@@ -136,8 +136,9 @@ func newSequencer(cfg config.FgSTP, pcfg bpred.Config, tr *trace.Trace, st *stee
 
 // resolveBranch unblocks the sequencer once the mispredicted branch at
 // gseq resolves at cycle when (called by the coordinator from the
-// OnComplete hook). The redirect crosses the dedicated fabric, so it
-// pays the inter-core communication latency on top of resolution.
+// OnIssue hook, which already knows the completion cycle). The redirect
+// crosses the dedicated fabric, so it pays the inter-core communication
+// latency on top of resolution.
 func (s *sequencer) resolveBranch(gseq uint64, when int64) {
 	if s.blocked && s.blockedOn == gseq {
 		s.blocked = false

@@ -112,7 +112,7 @@ func (r Reg) IsFP() bool { return r >= NumIntRegs && r < NumRegs }
 // Valid reports whether r names a real register (not RegNone or junk).
 func (r Reg) Valid() bool { return r < NumRegs }
 
-// String returns the assembler name of the register ("r7", "f3", "sp",
+// String returns the assembly name of the register ("r7", "f3", "sp",
 // "fp", "ra", or "-" for RegNone).
 func (r Reg) String() string {
 	switch {

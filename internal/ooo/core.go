@@ -112,11 +112,9 @@ type Hooks interface {
 	// LoadExtraLatency returns extra execution cycles for load u
 	// (cross-core store forwarding).
 	LoadExtraLatency(u *UOp) int
-	// OnIssue fires when u starts execution.
+	// OnIssue fires when u starts execution; u.CompleteAt() already
+	// holds the cycle its result is computed.
 	OnIssue(u *UOp, now int64)
-	// OnComplete fires the cycle u's result is computed (scheduled at
-	// issue time; fired when the core observes completion).
-	OnComplete(u *UOp, now int64)
 	// CanCommit gates commit of u (global program-order commit).
 	CanCommit(u *UOp, now int64) bool
 	// GateOpenAt is CanCommit's lookahead for the event-driven time
@@ -961,7 +959,6 @@ func (c *Core) startExec(u *UOp, now int64, lat int) {
 	}
 	if c.hooks != nil {
 		c.hooks.OnIssue(u, now)
-		c.hooks.OnComplete(u, u.completeAt)
 	}
 }
 

@@ -65,9 +65,15 @@ func run(t *testing.T, cfg Config, tr *trace.Trace) (stats int64, rpt Report) {
 	return now, core.Report()
 }
 
-func captureAsm(t *testing.T, name, src string) *trace.Trace {
-	t.Helper()
-	return trace.Capture(program.MustAssemble(name, src), 0)
+// countdownTrace captures a loop that counts r1 down from n to zero.
+func countdownTrace(name string, n int64) *trace.Trace {
+	b := program.NewBuilder(name)
+	b.Li(isa.R1, n)
+	b.Label("loop")
+	b.Addi(isa.R1, isa.R1, -1)
+	b.Bne(isa.R1, isa.R0, "loop")
+	b.Halt()
+	return trace.Capture(b.MustBuild(), 0)
 }
 
 func TestConfigValidate(t *testing.T) {
@@ -93,14 +99,15 @@ func TestConfigValidate(t *testing.T) {
 }
 
 func TestCommitsWholeTrace(t *testing.T) {
-	tr := captureAsm(t, "whole", `
-		li r1, 100
-	loop:
-		addi r2, r2, 3
-		mul r3, r2, r2
-		addi r1, r1, -1
-		bne r1, r0, loop
-		halt`)
+	b := program.NewBuilder("whole")
+	b.Li(isa.R1, 100)
+	b.Label("loop")
+	b.Addi(isa.R2, isa.R2, 3)
+	b.Mul(isa.R3, isa.R2, isa.R2)
+	b.Addi(isa.R1, isa.R1, -1)
+	b.Bne(isa.R1, isa.R0, "loop")
+	b.Halt()
+	tr := trace.Capture(b.MustBuild(), 0)
 	_, rpt := run(t, testConfig(), tr)
 	if rpt.Committed != uint64(tr.Len()) {
 		t.Errorf("committed %d of %d", rpt.Committed, tr.Len())
@@ -191,21 +198,6 @@ func TestUnpipelinedDivide(t *testing.T) {
 }
 
 func TestStoreToLoadForwarding(t *testing.T) {
-	src := `
-		li r1, 0x100000
-		li r4, 500
-	loop:
-		st r4, 0(r1)
-		ld r2, 0(r1)
-		add r4, r2, r4
-		addi r4, r4, -1
-		bne r4, r0, done
-		j loop
-	done:
-		halt`
-	// Note: loop actually exits promptly; build a simpler forwarding
-	// pattern instead.
-	_ = src
 	b := program.NewBuilder("fwd")
 	b.Li(isa.R1, 0x100000)
 	b.Li(isa.R2, 7)
@@ -408,17 +400,17 @@ func TestClusteredCore(t *testing.T) {
 }
 
 func TestCallReturnPrediction(t *testing.T) {
-	src := `
-		li r2, 300
-	loop:
-		call fn
-		addi r2, r2, -1
-		bne r2, r0, loop
-		halt
-	fn:
-		addi r3, r3, 1
-		ret`
-	tr := captureAsm(t, "callret", src)
+	b := program.NewBuilder("callret")
+	b.Li(isa.R2, 300)
+	b.Label("loop")
+	b.Call("fn")
+	b.Addi(isa.R2, isa.R2, -1)
+	b.Bne(isa.R2, isa.R0, "loop")
+	b.Halt()
+	b.Label("fn")
+	b.Addi(isa.R3, isa.R3, 1)
+	b.Ret()
+	tr := trace.Capture(b.MustBuild(), 0)
 	_, rpt := run(t, testConfig(), tr)
 	// After warmup the RAS must make returns free.
 	if rpt.IndirectMispredicts > 5 {
@@ -430,12 +422,7 @@ func TestCallReturnPrediction(t *testing.T) {
 }
 
 func TestReportStallAccounting(t *testing.T) {
-	tr := captureAsm(t, "stall", `
-		li r1, 2000
-	loop:
-		addi r1, r1, -1
-		bne r1, r0, loop
-		halt`)
+	tr := countdownTrace("stall", 2000)
 	_, rpt := run(t, testConfig(), tr)
 	if rpt.Fetched < uint64(tr.Len()) {
 		t.Errorf("fetched %d < trace %d", rpt.Fetched, tr.Len())
@@ -446,12 +433,7 @@ func TestReportStallAccounting(t *testing.T) {
 }
 
 func TestRunTraceSummary(t *testing.T) {
-	tr := captureAsm(t, "sum", `
-		li r1, 500
-	loop:
-		addi r1, r1, -1
-		bne r1, r0, loop
-		halt`)
+	tr := countdownTrace("sum", 500)
 	core := mustCore(t, testConfig(), tr)
 	r := Summarize(core, tr, "single", mustDrain(t, core, tr.Len()))
 	if r.Insts != uint64(tr.Len()) {

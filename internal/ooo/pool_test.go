@@ -21,7 +21,6 @@ func (h *commitRecorder) ExtReadyAt(u *UOp, srcIdx int, now int64) int64 { retur
 func (h *commitRecorder) LoadGate(u *UOp, now int64) (bool, bool)        { return true, false }
 func (h *commitRecorder) LoadExtraLatency(u *UOp) int                    { return 0 }
 func (h *commitRecorder) OnIssue(u *UOp, now int64)                      {}
-func (h *commitRecorder) OnComplete(u *UOp, now int64)                   {}
 func (h *commitRecorder) CanCommit(u *UOp, now int64) bool               { return true }
 func (h *commitRecorder) GateOpenAt(g uint64, now int64) int64           { return now }
 func (h *commitRecorder) OnViolation(gseq uint64, now int64) bool        { return false }

@@ -28,20 +28,3 @@ func BenchmarkExecutorThroughput(b *testing.B) {
 	}
 	b.ReportMetric(60000, "insts/op")
 }
-
-func BenchmarkAssemble(b *testing.B) {
-	src := `
-	start:
-		li r1, 100
-	loop:
-		ld r3, 8(r1)
-		addi r1, r1, 8
-		st r3, 0(r1)
-		bne r1, r0, loop
-		halt`
-	for i := 0; i < b.N; i++ {
-		if _, err := Assemble("bench", src); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -7,7 +7,7 @@ import (
 )
 
 // Builder assembles a Program instruction by instruction, deferring
-// label resolution until Build. Emission methods mirror the assembler
+// label resolution until Build. Emission methods mirror the opcode
 // mnemonics; label operands are resolved to instruction indices.
 //
 // Errors (duplicate or undefined labels) are accumulated and reported

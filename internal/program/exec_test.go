@@ -279,19 +279,19 @@ func TestExecTraceSequencing(t *testing.T) {
 }
 
 func TestExecDeterminism(t *testing.T) {
-	src := `
-		li r1, 12345
-		li r2, 0
-		li r4, 50
-	loop:
-		mul r1, r1, r1
-		shri r1, r1, 3
-		xori r1, r1, 0x55
-		add r2, r2, r1
-		addi r4, r4, -1
-		bne r4, r0, loop
-		halt`
-	p := MustAssemble("det", src)
+	b := NewBuilder("det")
+	b.Li(isa.R1, 12345)
+	b.Li(isa.R2, 0)
+	b.Li(isa.R4, 50)
+	b.Label("loop")
+	b.Mul(isa.R1, isa.R1, isa.R1)
+	b.Shri(isa.R1, isa.R1, 3)
+	b.Xori(isa.R1, isa.R1, 0x55)
+	b.Add(isa.R2, isa.R2, isa.R1)
+	b.Addi(isa.R4, isa.R4, -1)
+	b.Bne(isa.R4, isa.R0, "loop")
+	b.Halt()
+	p := b.MustBuild()
 	run := func() (uint64, []isa.DynInst) {
 		e := NewExecutor(p)
 		var tr []isa.DynInst
@@ -313,14 +313,18 @@ func TestExecDeterminism(t *testing.T) {
 	}
 }
 
+// spin builds an endless counting loop: its halt is never reached.
+func spin(name string) *Program {
+	b := NewBuilder(name)
+	b.Label("loop")
+	b.Addi(isa.R1, isa.R1, 1)
+	b.J("loop")
+	b.Halt()
+	return b.MustBuild()
+}
+
 func TestExecRunCap(t *testing.T) {
-	src := `
-	loop:
-		addi r1, r1, 1
-		j loop
-		halt`
-	p := MustAssemble("cap", src)
-	e := NewExecutor(p)
+	e := NewExecutor(spin("cap"))
 	n := e.Run(1000, nil)
 	if n != 1000 {
 		t.Errorf("ran %d instructions, want cap 1000", n)
@@ -331,13 +335,7 @@ func TestExecRunCap(t *testing.T) {
 }
 
 func TestExecSinkEarlyStop(t *testing.T) {
-	src := `
-	loop:
-		addi r1, r1, 1
-		j loop
-		halt`
-	p := MustAssemble("stop", src)
-	e := NewExecutor(p)
+	e := NewExecutor(spin("stop"))
 	count := 0
 	n := e.Run(0, func(*isa.DynInst) bool { count++; return count < 7 })
 	if n != 7 || count != 7 {
@@ -350,14 +348,14 @@ func TestExecSinkEarlyStop(t *testing.T) {
 // is reused, so a run allocates at most once however long it is.
 // Trace capture runs every instruction of every workload through here.
 func TestRunNoAllocsPerInst(t *testing.T) {
-	src := `
-	loop:
-		ld r2, 0(r1)
-		addi r2, r2, 1
-		st r2, 0(r1)
-		j loop
-		halt`
-	e := NewExecutor(MustAssemble("allocs", src))
+	b := NewBuilder("allocs")
+	b.Label("loop")
+	b.Ld(isa.R2, isa.R1, 0)
+	b.Addi(isa.R2, isa.R2, 1)
+	b.St(isa.R2, isa.R1, 0)
+	b.J("loop")
+	b.Halt()
+	e := NewExecutor(b.MustBuild())
 	e.Run(8, nil) // first touch of the data page
 	var last isa.DynInst
 	copySink := func(d *isa.DynInst) bool { last = *d; return true }

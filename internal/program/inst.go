@@ -1,8 +1,7 @@
 // Package program defines a small assembly-level intermediate
-// representation, a builder and text assembler for writing programs in
-// it, and a functional executor that runs those programs and emits the
-// dynamic instruction stream (isa.DynInst) consumed by the timing
-// simulators.
+// representation, a builder for writing programs in it, and a
+// functional executor that runs those programs and emits the dynamic
+// instruction stream (isa.DynInst) consumed by the timing simulators.
 //
 // The synthetic SPEC-2006-like kernels in internal/workloads are real
 // programs in this IR: their traces carry true register and memory
@@ -19,7 +18,7 @@ import (
 // Opcode enumerates the static operations of the IR.
 type Opcode uint8
 
-// Opcodes. The comment after each gives the assembler form.
+// Opcodes. The comment after each gives the assembly form.
 const (
 	Nop Opcode = iota // nop
 
@@ -105,7 +104,7 @@ var opNames = [NumOpcodes]string{
 	Halt: "halt",
 }
 
-// String returns the assembler mnemonic.
+// String returns the assembly mnemonic.
 func (o Opcode) String() string {
 	if int(o) < NumOpcodes {
 		return opNames[o]
@@ -151,7 +150,7 @@ func (o Opcode) Class() isa.Class {
 func (o Opcode) IsBranch() bool { return o >= Beq && o <= Bge }
 
 // Inst is one static instruction. The operand fields a given opcode
-// uses follow the assembler forms documented on the Opcode constants;
+// uses follow the assembly forms documented on the Opcode constants;
 // unused register fields hold isa.RegNone.
 type Inst struct {
 	Op Opcode
@@ -166,7 +165,7 @@ type Inst struct {
 	Imm int64
 }
 
-// String renders the instruction in assembler syntax.
+// String renders the instruction in assembly syntax.
 func (in Inst) String() string {
 	switch {
 	case in.Op == Nop || in.Op == Halt || in.Op == Ret:

@@ -89,31 +89,3 @@ func (p *Program) Disassemble() string {
 	}
 	return b.String()
 }
-
-// StaticStats summarises the static composition of a program.
-type StaticStats struct {
-	Insts    int
-	ByClass  [isa.NumClasses]int
-	Branches int
-	Loads    int
-	Stores   int
-}
-
-// Stats computes static composition counts.
-func (p *Program) Stats() StaticStats {
-	var s StaticStats
-	s.Insts = len(p.Code)
-	for _, in := range p.Code {
-		c := in.Op.Class()
-		s.ByClass[c]++
-		switch c {
-		case isa.ClassBranch:
-			s.Branches++
-		case isa.ClassLoad:
-			s.Loads++
-		case isa.ClassStore:
-			s.Stores++
-		}
-	}
-	return s
-}

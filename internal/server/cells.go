@@ -36,19 +36,19 @@ type cellStats struct {
 	misses atomic.Int64
 }
 
-// cellStatsSnapshot is the rendered form of cellStats for stream
-// records and tests.
-type cellStatsSnapshot struct {
+// CellStatsSnapshot is the rendered form of cellStats in sweep stream
+// records.
+type CellStatsSnapshot struct {
 	Runs   int64 `json:"runs"`
 	Hits   int64 `json:"hits"`
 	Misses int64 `json:"misses"`
 }
 
-func (st *cellStats) snapshot() cellStatsSnapshot {
+func (st *cellStats) snapshot() CellStatsSnapshot {
 	if st == nil {
-		return cellStatsSnapshot{}
+		return CellStatsSnapshot{}
 	}
-	return cellStatsSnapshot{Runs: st.runs.Load(), Hits: st.hits.Load(), Misses: st.misses.Load()}
+	return CellStatsSnapshot{Runs: st.runs.Load(), Hits: st.hits.Load(), Misses: st.misses.Load()}
 }
 
 // cellStatsCtxKey carries a *cellStats through the job context so the

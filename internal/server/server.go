@@ -94,11 +94,11 @@ type result struct {
 	exit   int    // CLI exit code, meaningful for status 200
 	cache  string // hit | miss | bypass, meaningful for status 200
 	body   []byte // payload (200) — error docs render from errDoc
-	errDoc *errorBody
+	errDoc *ErrorBody
 }
 
-// errorBody is the error half of the fgstpd.error/1 document.
-type errorBody struct {
+// ErrorBody is the error half of the fgstpd.error/1 document.
+type ErrorBody struct {
 	Kind    string `json:"kind"`
 	Message string `json:"message"`
 	Status  int    `json:"status"`
@@ -246,21 +246,21 @@ func (s *Server) submit(r *http.Request, ctx context.Context, exec func(context.
 		switch err {
 		case errTenantFull:
 			s.nRejected.Add(1)
-			return &result{status: http.StatusTooManyRequests, errDoc: &errorBody{
+			return &result{status: http.StatusTooManyRequests, errDoc: &ErrorBody{
 				Kind:          "queue_full",
 				Message:       fmt.Sprintf("tenant %q queue is full (cap %d)", j.tenant, s.cfg.QueueCap),
 				RetryAfterSec: retryAfterSec,
 			}}
 		case errShed:
 			s.nShed.Add(1)
-			return &result{status: http.StatusServiceUnavailable, errDoc: &errorBody{
+			return &result{status: http.StatusServiceUnavailable, errDoc: &ErrorBody{
 				Kind:          "load_shed",
 				Message:       fmt.Sprintf("server over the load-shed watermark (%d queued jobs)", s.cfg.ShedMark),
 				RetryAfterSec: retryAfterSec,
 			}}
 		default: // errClosed
 			s.nShed.Add(1)
-			return &result{status: http.StatusServiceUnavailable, errDoc: &errorBody{
+			return &result{status: http.StatusServiceUnavailable, errDoc: &ErrorBody{
 				Kind:    "draining",
 				Message: "server is draining and admits no new jobs",
 			}}
@@ -306,30 +306,30 @@ func (s *Server) classify(err error) *result {
 	switch {
 	case errors.As(err, &pe):
 		s.nPanics.Add(1)
-		return &result{status: http.StatusInternalServerError, errDoc: &errorBody{
+		return &result{status: http.StatusInternalServerError, errDoc: &ErrorBody{
 			Kind:    "panic",
 			Message: fmt.Sprintf("simulation panicked (contained): %v", pe.Value),
 		}}
 	case errors.Is(err, cmp.ErrLivelock):
 		s.nLivelocks.Add(1)
-		return &result{status: http.StatusUnprocessableEntity, errDoc: &errorBody{
+		return &result{status: http.StatusUnprocessableEntity, errDoc: &ErrorBody{
 			Kind:    "livelock",
 			Message: err.Error(),
 		}}
 	case errors.Is(err, context.DeadlineExceeded):
 		s.nTimeouts.Add(1)
-		return &result{status: http.StatusGatewayTimeout, errDoc: &errorBody{
+		return &result{status: http.StatusGatewayTimeout, errDoc: &ErrorBody{
 			Kind:    "timeout",
 			Message: "job deadline exceeded",
 		}}
 	case errors.Is(err, context.Canceled):
 		s.nTimeouts.Add(1)
-		return &result{status: http.StatusGatewayTimeout, errDoc: &errorBody{
+		return &result{status: http.StatusGatewayTimeout, errDoc: &ErrorBody{
 			Kind:    "canceled",
 			Message: "job canceled",
 		}}
 	default:
-		return &result{status: http.StatusInternalServerError, errDoc: &errorBody{
+		return &result{status: http.StatusInternalServerError, errDoc: &ErrorBody{
 			Kind:    "internal",
 			Message: err.Error(),
 		}}
@@ -390,7 +390,7 @@ func (s *Server) handleBench(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := req.validate(); err != nil {
-		s.writeError(w, &result{status: http.StatusBadRequest, errDoc: &errorBody{Kind: "invalid", Message: err.Error()}})
+		s.writeError(w, &result{status: http.StatusBadRequest, errDoc: &ErrorBody{Kind: "invalid", Message: err.Error()}})
 		return
 	}
 	if !s.chaosAllowed(w, req.Inject) {
@@ -418,7 +418,7 @@ func (s *Server) handleSim(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := req.validate(); err != nil {
-		s.writeError(w, &result{status: http.StatusBadRequest, errDoc: &errorBody{Kind: "invalid", Message: err.Error()}})
+		s.writeError(w, &result{status: http.StatusBadRequest, errDoc: &ErrorBody{Kind: "invalid", Message: err.Error()}})
 		return
 	}
 	if !s.chaosAllowed(w, req.Inject) {
@@ -426,7 +426,7 @@ func (s *Server) handleSim(w http.ResponseWriter, r *http.Request) {
 	}
 	key, err := req.cacheKey(&s.digests)
 	if errors.Is(err, errEmptyTrace) {
-		s.writeError(w, &result{status: http.StatusBadRequest, errDoc: &errorBody{Kind: "invalid", Message: err.Error()}})
+		s.writeError(w, &result{status: http.StatusBadRequest, errDoc: &ErrorBody{Kind: "invalid", Message: err.Error()}})
 		return
 	}
 	if err != nil {
@@ -446,14 +446,14 @@ func (s *Server) handleSim(w http.ResponseWriter, r *http.Request) {
 // decode parses a POST body into req; any failure is a 400.
 func (s *Server) decode(w http.ResponseWriter, r *http.Request, req any) bool {
 	if r.Method != http.MethodPost {
-		s.writeError(w, &result{status: http.StatusMethodNotAllowed, errDoc: &errorBody{
+		s.writeError(w, &result{status: http.StatusMethodNotAllowed, errDoc: &ErrorBody{
 			Kind: "method", Message: "POST a JSON job description"}})
 		return false
 	}
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(req); err != nil {
-		s.writeError(w, &result{status: http.StatusBadRequest, errDoc: &errorBody{
+		s.writeError(w, &result{status: http.StatusBadRequest, errDoc: &ErrorBody{
 			Kind: "invalid", Message: fmt.Sprintf("bad request body: %v", err)}})
 		return false
 	}
@@ -466,7 +466,7 @@ func (s *Server) chaosAllowed(w http.ResponseWriter, inject string) bool {
 	if inject == "" || s.cfg.AllowChaos {
 		return true
 	}
-	s.writeError(w, &result{status: http.StatusForbidden, errDoc: &errorBody{
+	s.writeError(w, &result{status: http.StatusForbidden, errDoc: &ErrorBody{
 		Kind:    "chaos_disabled",
 		Message: "fault injection is disabled on this server (start fgstpd with -chaos)",
 	}})
@@ -516,7 +516,7 @@ func (s *Server) writeError(w http.ResponseWriter, res *result) {
 	s.nErrors.Add(1)
 	doc := struct {
 		Schema string     `json:"schema"`
-		Error  *errorBody `json:"error"`
+		Error  *ErrorBody `json:"error"`
 	}{Schema: ErrorSchemaVersion, Error: res.errDoc}
 	doc.Error.Status = res.status
 	if doc.Error.RetryAfterSec > 0 {

@@ -13,7 +13,7 @@ import (
 // SweepSchemaVersion identifies the NDJSON stream a /v1/sweep response
 // carries: one header record, one record per completed unit (in
 // completion order — partial results land as they finish), one terminal
-// summary record.
+// summary record: SweepHeader, SweepUnitRecord and SweepSummary.
 const SweepSchemaVersion = "fgstpd.sweep/1"
 
 // maxSweepUnits bounds the experiments × insts matrix one sweep may
@@ -128,9 +128,9 @@ func (q *SweepRequest) validate() error {
 	return nil
 }
 
-// sweepHeader is the first stream record: the resolved matrix, so a
+// SweepHeader is the first stream record: the resolved matrix, so a
 // client knows how many unit records to expect.
-type sweepHeader struct {
+type SweepHeader struct {
 	Schema      string   `json:"schema"`
 	Units       int      `json:"units"`
 	Experiments []string `json:"experiments"`
@@ -138,34 +138,34 @@ type sweepHeader struct {
 	Format      string   `json:"format"`
 }
 
-// sweepUnitRecord reports one completed unit. Status/Exit/Cache mirror
+// SweepUnitRecord reports one completed unit. Status/Exit/Cache mirror
 // the /v1/bench response (HTTP status, CLI exit code, hit|miss|bypass);
 // Document carries the rendered bytes of a 200 verbatim (JSON string
 // escaping round-trips them exactly); Error carries the structured
 // error of a non-200. Cells is this unit's cell-cache traffic — zero
 // runs on a document-cache hit (the session never ran).
-type sweepUnitRecord struct {
+type SweepUnitRecord struct {
 	Unit       int               `json:"unit"`
 	Experiment string            `json:"experiment"`
 	Insts      uint64            `json:"insts"`
 	Status     int               `json:"status"`
 	Exit       int               `json:"exit"`
 	Cache      string            `json:"cache,omitempty"`
-	Cells      cellStatsSnapshot `json:"cells"`
+	Cells      CellStatsSnapshot `json:"cells"`
 	Document   string            `json:"document,omitempty"`
-	Error      *errorBody        `json:"error,omitempty"`
+	Error      *ErrorBody        `json:"error,omitempty"`
 }
 
-// sweepSummary is the terminal record: unit counts by outcome,
+// SweepSummary is the terminal record: unit counts by outcome,
 // aggregate cell traffic, and the sweep's CLI-taxonomy exit code (0 =
 // every unit clean, 1 otherwise).
-type sweepSummary struct {
+type SweepSummary struct {
 	Done     bool              `json:"done"`
 	Units    int               `json:"units"`
 	OK       int               `json:"ok"`
 	Degraded int               `json:"degraded"`
 	Failed   int               `json:"failed"`
-	Cells    cellStatsSnapshot `json:"cells"`
+	Cells    CellStatsSnapshot `json:"cells"`
 	Exit     int               `json:"exit"`
 }
 
@@ -188,7 +188,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := req.validate(); err != nil {
-		s.writeError(w, &result{status: http.StatusBadRequest, errDoc: &errorBody{Kind: "invalid", Message: err.Error()}})
+		s.writeError(w, &result{status: http.StatusBadRequest, errDoc: &ErrorBody{Kind: "invalid", Message: err.Error()}})
 		return
 	}
 	s.nSweeps.Add(1)
@@ -207,7 +207,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		}
 		return true
 	}
-	if !write(sweepHeader{Schema: SweepSchemaVersion, Units: len(req.units),
+	if !write(SweepHeader{Schema: SweepSchemaVersion, Units: len(req.units),
 		Experiments: req.Experiments, Insts: req.Insts, Format: req.Format}) {
 		return
 	}
@@ -215,16 +215,16 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	type unitDone struct {
 		idx   int
 		res   *result
-		cells cellStatsSnapshot
+		cells CellStatsSnapshot
 	}
 	// Buffered to the full matrix so collector goroutines never block:
 	// if the client disconnects mid-stream the handler returns and the
 	// collectors drain into the buffer and exit.
 	results := make(chan unitDone, len(req.units))
-	var summary sweepSummary
+	var summary SweepSummary
 	summary.Units = len(req.units)
 	emit := func(d unitDone) bool {
-		rec := sweepUnitRecord{Unit: d.idx,
+		rec := SweepUnitRecord{Unit: d.idx,
 			Experiment: req.units[d.idx].Experiment, Insts: req.units[d.idx].Insts,
 			Status: d.res.status, Exit: d.res.exit, Cache: d.res.cache, Cells: d.cells}
 		switch {
@@ -296,7 +296,7 @@ launch:
 				for k := i; k < len(req.units); k++ {
 					if !emit(unitDone{idx: k, res: &result{
 						status: http.StatusServiceUnavailable,
-						errDoc: &errorBody{Kind: "draining", Message: "server is draining and admits no new jobs"},
+						errDoc: &ErrorBody{Kind: "draining", Message: "server is draining and admits no new jobs"},
 					}}) {
 						clientGone = true
 						break
@@ -326,7 +326,7 @@ launch:
 				s.nTimeouts.Add(1)
 				if !emit(unitDone{idx: i, res: &result{
 					status: http.StatusGatewayTimeout,
-					errDoc: &errorBody{Kind: "timeout", Message: "unit deadline exceeded while waiting for admission"},
+					errDoc: &ErrorBody{Kind: "timeout", Message: "unit deadline exceeded while waiting for admission"},
 				}}) {
 					clientGone = true
 					break launch
@@ -355,7 +355,7 @@ launch:
 func (s *Server) runUnit(ctx context.Context, u sweepUnit, req *SweepRequest) *result {
 	br := &BenchRequest{Experiment: u.Experiment, Insts: u.Insts, Format: req.Format, Jobs: req.Jobs}
 	if err := br.validate(); err != nil {
-		return &result{status: http.StatusBadRequest, errDoc: &errorBody{Kind: "invalid", Message: err.Error()}}
+		return &result{status: http.StatusBadRequest, errDoc: &ErrorBody{Kind: "invalid", Message: err.Error()}}
 	}
 	key, err := br.cacheKey()
 	if err != nil {

@@ -21,9 +21,9 @@ import (
 
 // sweepStream is a parsed fgstpd.sweep/1 response.
 type sweepStream struct {
-	header  sweepHeader
-	units   []sweepUnitRecord
-	summary sweepSummary
+	header  SweepHeader
+	units   []SweepUnitRecord
+	summary SweepSummary
 }
 
 // parseSweep decodes the NDJSON stream of a 200 sweep response,
@@ -73,7 +73,7 @@ func parseSweep(t *testing.T, w *httptest.ResponseRecorder) *sweepStream {
 			if !sawHeader {
 				t.Fatal("unit record before the header")
 			}
-			var rec sweepUnitRecord
+			var rec SweepUnitRecord
 			if err := json.Unmarshal(line, &rec); err != nil {
 				t.Fatal(err)
 			}
@@ -98,7 +98,7 @@ func parseSweep(t *testing.T, w *httptest.ResponseRecorder) *sweepStream {
 
 // unitByExperiment indexes a stream's unit records (unique experiments
 // per stream in these tests).
-func (st *sweepStream) unitByExperiment(t *testing.T, id string) *sweepUnitRecord {
+func (st *sweepStream) unitByExperiment(t *testing.T, id string) *SweepUnitRecord {
 	t.Helper()
 	for i := range st.units {
 		if st.units[i].Experiment == id {
@@ -410,7 +410,7 @@ func TestSweepStreamsPartials(t *testing.T) {
 	}
 
 	// Header lands before any unit finishes.
-	var hdr sweepHeader
+	var hdr SweepHeader
 	if err := json.Unmarshal(readRecord(), &hdr); err != nil {
 		t.Fatal(err)
 	}
@@ -420,7 +420,7 @@ func TestSweepStreamsPartials(t *testing.T) {
 
 	<-g.entered // first unit is executing
 	g.release <- struct{}{}
-	var rec sweepUnitRecord
+	var rec SweepUnitRecord
 	if err := json.Unmarshal(readRecord(), &rec); err != nil {
 		t.Fatal(err)
 	}
@@ -436,7 +436,7 @@ func TestSweepStreamsPartials(t *testing.T) {
 	if err := json.Unmarshal(readRecord(), &rec); err != nil {
 		t.Fatal(err)
 	}
-	var sum sweepSummary
+	var sum SweepSummary
 	if err := json.Unmarshal(readRecord(), &sum); err != nil {
 		t.Fatal(err)
 	}

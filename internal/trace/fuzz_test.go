@@ -21,18 +21,18 @@ import (
 // fuzzSampleBytes returns the serialised bytes of a small valid trace.
 func fuzzSampleBytes(tb testing.TB) []byte {
 	tb.Helper()
-	p := program.MustAssemble("fuzzseed", `
-		li r1, 0x100000
-		li r2, 6
-	loop:
-		ld r3, 0(r1)
-		add r3, r3, r2
-		st r3, 0(r1)
-		addi r1, r1, 8
-		addi r2, r2, -1
-		bne r2, r0, loop
-		halt`)
-	tr := trace.Capture(p, 0)
+	b := program.NewBuilder("fuzzseed")
+	b.Li(isa.R1, 0x100000)
+	b.Li(isa.R2, 6)
+	b.Label("loop")
+	b.Ld(isa.R3, isa.R1, 0)
+	b.Add(isa.R3, isa.R3, isa.R2)
+	b.St(isa.R3, isa.R1, 0)
+	b.Addi(isa.R1, isa.R1, 8)
+	b.Addi(isa.R2, isa.R2, -1)
+	b.Bne(isa.R2, isa.R0, "loop")
+	b.Halt()
+	tr := trace.Capture(b.MustBuild(), 0)
 	var buf bytes.Buffer
 	if err := tr.Save(&buf); err != nil {
 		tb.Fatal(err)

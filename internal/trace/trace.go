@@ -27,19 +27,7 @@ type Trace struct {
 // Capture runs p functionally for at most max dynamic instructions
 // (0 = to completion) and returns the captured trace.
 func Capture(p *program.Program, max uint64) *Trace {
-	return CaptureRegion(p, 0, max)
-}
-
-// CaptureRegion runs p functionally, discards the first skip dynamic
-// instructions (a kernel's initialisation phase), then captures at most
-// max instructions (0 = to completion). Captured sequence numbers
-// start at zero so timing models see a dense trace.
-func CaptureRegion(p *program.Program, skip, max uint64) *Trace {
-	e := program.NewExecutor(p)
-	if skip > 0 {
-		e.Run(skip, nil)
-	}
-	return capture(p.Name, e, max)
+	return capture(p.Name, program.NewExecutor(p), max)
 }
 
 // CaptureFromLabel runs p until execution first reaches the named

@@ -9,17 +9,18 @@ import (
 )
 
 func sampleProgram() *program.Program {
-	return program.MustAssemble("sample", `
-		li r1, 0x100000
-		li r2, 10
-	loop:
-		ld r3, 0(r1)
-		add r3, r3, r2
-		st r3, 0(r1)
-		addi r1, r1, 8
-		addi r2, r2, -1
-		bne r2, r0, loop
-		halt`)
+	b := program.NewBuilder("sample")
+	b.Li(isa.R1, 0x100000)
+	b.Li(isa.R2, 10)
+	b.Label("loop")
+	b.Ld(isa.R3, isa.R1, 0)
+	b.Add(isa.R3, isa.R3, isa.R2)
+	b.St(isa.R3, isa.R1, 0)
+	b.Addi(isa.R1, isa.R1, 8)
+	b.Addi(isa.R2, isa.R2, -1)
+	b.Bne(isa.R2, isa.R0, "loop")
+	b.Halt()
+	return b.MustBuild()
 }
 
 // checkFlow requires every derived next-PC to agree with the recorded
@@ -197,14 +198,20 @@ func TestSlice(t *testing.T) {
 	}
 }
 
-func TestCaptureRegionSkip(t *testing.T) {
+// CaptureFromLabel starts where execution first reaches the label (the
+// sample's loop follows two set-up instructions), and from the start
+// when the label is absent.
+func TestCaptureFromLabel(t *testing.T) {
 	full := Capture(sampleProgram(), 0)
-	skipped := CaptureRegion(sampleProgram(), 10, 0)
-	if skipped.Len() != full.Len()-10 {
-		t.Fatalf("skip=10 yielded %d, want %d", skipped.Len(), full.Len()-10)
+	skipped := CaptureFromLabel(sampleProgram(), "loop", 0)
+	if skipped.Len() != full.Len()-2 {
+		t.Fatalf("from loop yielded %d, want %d", skipped.Len(), full.Len()-2)
 	}
 	checkFlow(t, skipped)
-	if skipped.At(0).PC != full.At(10).PC {
-		t.Error("skip did not align")
+	if skipped.At(0).PC != full.At(2).PC {
+		t.Error("capture did not start at the label")
+	}
+	if absent := CaptureFromLabel(sampleProgram(), "nowhere", 0); absent.Len() != full.Len() {
+		t.Errorf("absent label yielded %d, want the whole %d", absent.Len(), full.Len())
 	}
 }

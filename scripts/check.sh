@@ -1,6 +1,8 @@
 #!/usr/bin/env sh
 # Tier-1 gate: everything a change must pass before it lands.
 #   go vet          static checks
+#   gofmt           gofmt -l . must list nothing: every Go file, bench/
+#                   included, is formatted
 #   go build        whole-tree compile (commands and examples included)
 #   tracetool       examples/tracetool reading 5,000 steering decisions
 #                   in order: SteerDecision's only caller, run past the
@@ -70,6 +72,10 @@ cd "$(dirname "$0")/.."
 
 echo "== go vet ./..."
 go vet ./...
+
+echo "== gofmt -l ."
+unformatted="$(gofmt -l .)"
+[ -z "$unformatted" ] || { echo "gofmt would reformat:"; echo "$unformatted"; exit 1; }
 
 echo "== go build ./..."
 go build ./...
