@@ -60,7 +60,7 @@ func main() {
 	fgstp := runs[cmp.ModeFgSTP]
 	b, _ := energy.Estimate(&fgstp, weights)
 	fmt.Println("\nFg-STP energy breakdown:")
-	for _, comp := range b.Components() {
+	for _, comp := range stats.Names(b.ByComponent) {
 		v := b.ByComponent[comp]
 		fmt.Printf("  %-10s %12.0f  (%.1f%%)\n", comp, v, v/b.Total*100)
 	}

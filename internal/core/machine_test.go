@@ -243,7 +243,7 @@ func TestFgstpSummaryCounters(t *testing.T) {
 	r := m.Summarize(cycles)
 	for _, key := range []string{"steer_core1_frac", "replicated_frac",
 		"remote_dep_frac", "comm_per_kinst", "bpred_accuracy"} {
-		if !r.Has(key) {
+		if _, ok := r.Metrics[key]; !ok {
 			t.Errorf("summary missing %q", key)
 		}
 	}

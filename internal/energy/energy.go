@@ -17,7 +17,6 @@ package energy
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/stats"
 )
@@ -77,7 +76,7 @@ func (w *Weights) Validate() error {
 type Breakdown struct {
 	// ByComponent maps component names to energy.
 	ByComponent map[string]float64
-	// Total is the sum.
+	// Total is the sum, taken in component-name order.
 	Total float64
 	// EPI is energy per committed program instruction.
 	EPI float64
@@ -107,9 +106,11 @@ func Estimate(r *stats.Run, w Weights) (Breakdown, error) {
 		"static": float64(r.Cycles) *
 			(r.Get("active_cores")*w.StaticCore + w.StaticUncore),
 	}
+	// Sum in name order: with fractional weights, the randomised map
+	// order could round Total differently from run to run.
 	var total float64
-	for _, v := range by {
-		total += v
+	for _, k := range stats.Names(by) {
+		total += by[k]
 	}
 	b := Breakdown{ByComponent: by, Total: total}
 	if r.Insts > 0 {
@@ -117,16 +118,6 @@ func Estimate(r *stats.Run, w Weights) (Breakdown, error) {
 	}
 	b.EDP = total * float64(r.Cycles)
 	return b, nil
-}
-
-// Components returns the component names in a stable order.
-func (b *Breakdown) Components() []string {
-	names := make([]string, 0, len(b.ByComponent))
-	for n := range b.ByComponent {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // Compare summarises the efficiency of one run against a baseline:

@@ -1,6 +1,7 @@
 package energy
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/cmp"
@@ -45,8 +46,54 @@ func TestEstimateArithmetic(t *testing.T) {
 	if b.EDP != want*100 {
 		t.Errorf("EDP = %v", b.EDP)
 	}
-	if len(b.Components()) != 7 {
-		t.Errorf("components = %v", b.Components())
+	if len(b.ByComponent) != 7 {
+		t.Errorf("components = %v", b.ByComponent)
+	}
+}
+
+// With fractional weights the order of the component sum decides how
+// Total rounds. Estimate sums in name order, so every call returns the
+// same Total bit for bit, not one of several map-order roundings.
+func TestEstimateSumsInNameOrder(t *testing.T) {
+	r := stats.Run{Workload: "x", Mode: "fgstp", Cycles: 1_000_003, Insts: 777_777}
+	r.Set("fetched_uops", 1_234_567)
+	r.Set("issued_uops", 1_111_111)
+	r.Set("l1i_accesses", 555_555)
+	r.Set("l1d_accesses", 444_444)
+	r.Set("l2_accesses", 33_333)
+	r.Set("dram_accesses", 4_321)
+	r.Set("comm_transfers", 77_777)
+	r.Set("active_cores", 2)
+	w := Weights{Frontend: 0.1, Issue: 0.3, L1Access: 1.0 / 3, L2Access: 2.7,
+		DRAMAccess: 1.9, CommTransfer: 0.7, StaticCore: 1e13, StaticUncore: 0.07}
+	b, err := Estimate(&r, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := func(names []string) float64 {
+		var s float64
+		for _, n := range names {
+			s += b.ByComponent[n]
+		}
+		return s
+	}
+	names := stats.Names(b.ByComponent)
+	reversed := make([]string, len(names))
+	for i, n := range names {
+		reversed[len(names)-1-i] = n
+	}
+	want := sum(names)
+	if sum(reversed) == want {
+		t.Fatal("the weights must make the summation order matter, or this test shows nothing")
+	}
+	for i := 0; i < 200; i++ {
+		b, err := Estimate(&r, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(b.Total) != math.Float64bits(want) {
+			t.Fatalf("call %d: Total = %.17g, want the name-order sum %.17g", i, b.Total, want)
+		}
 	}
 }
 

@@ -14,7 +14,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 
 	"repro/internal/cmp"
 	"repro/internal/config"
@@ -65,15 +64,8 @@ func (r *Result) String() string {
 	for _, t := range r.Tables {
 		out += t.String() + "\n"
 	}
-	if len(r.Metrics) > 0 {
-		keys := make([]string, 0, len(r.Metrics))
-		for k := range r.Metrics {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			out += fmt.Sprintf("   %-40s %.4f\n", k, r.Metrics[k])
-		}
+	for _, k := range stats.Names(r.Metrics) {
+		out += fmt.Sprintf("   %-40s %.4f\n", k, r.Metrics[k])
 	}
 	return out
 }

@@ -5,8 +5,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
+
+	"repro/internal/stats"
 )
 
 // SchemaVersion identifies the machine-readable export format; bump it
@@ -103,12 +104,7 @@ func WriteCSV(w io.Writer, insts uint64, results []*Result) error {
 				return err
 			}
 		}
-		keys := make([]string, 0, len(res.Metrics))
-		for k := range res.Metrics {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
+		for _, k := range stats.Names(res.Metrics) {
 			rec := []string{res.ID, "metric", k, strconv.FormatFloat(res.Metrics[k], 'g', -1, 64)}
 			if err := cw.Write(rec); err != nil {
 				return err

@@ -259,9 +259,9 @@ func writeSimCSV(w io.Writer, modes []cmp.Mode, runs []stats.Run, errs []error, 
 		if err := cw.Write(rec); err != nil {
 			return err
 		}
-		for _, s := range r.Metrics.Sorted() {
-			rec := []string{string(md), "metric", s.Name,
-				strconv.FormatFloat(s.Value, 'g', -1, 64)}
+		for _, k := range stats.Names(r.Metrics) {
+			rec := []string{string(md), "metric", k,
+				strconv.FormatFloat(r.Metrics[k], 'g', -1, 64)}
 			if err := cw.Write(rec); err != nil {
 				return err
 			}
@@ -305,8 +305,8 @@ func writeSimText(w io.Writer, modes []cmp.Mode, runs []stats.Run, errs []error,
 		if _, err := fmt.Fprintf(w, "[%s] cycles=%d insts=%d IPC=%.3f\n", r.Mode, r.Cycles, r.Insts, r.IPC()); err != nil {
 			return err
 		}
-		for _, s := range r.Metrics.Sorted() {
-			if _, err := fmt.Fprintf(w, "    %-24s %.4f\n", s.Name, s.Value); err != nil {
+		for _, k := range stats.Names(r.Metrics) {
+			if _, err := fmt.Fprintf(w, "    %-24s %.4f\n", k, r.Metrics[k]); err != nil {
 				return err
 			}
 		}

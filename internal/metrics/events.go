@@ -1,3 +1,9 @@
+// Package metrics is the observability layer of the simulator: a
+// typed pipeline event stream the Fg-STP machine emits steering,
+// value-transfer and squash events into, a Chrome trace-event exporter
+// that renders one run's event stream into a Perfetto-loadable file,
+// and small process-introspection helpers (peak RSS) for the CLI
+// session footers. Named run counters live on stats.Run.
 package metrics
 
 // Kind classifies one pipeline event.

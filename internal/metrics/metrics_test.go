@@ -8,72 +8,6 @@ import (
 	"testing"
 )
 
-func TestRegistryOrderAndLookup(t *testing.T) {
-	var g Registry
-	g.Set("b_second", 2)
-	g.Set("a_first", 1)
-	g.Add("b_second", 3)
-	g.Add("c_new", 7)
-
-	if got := g.Get("b_second"); got != 5 {
-		t.Errorf("Add: got %v, want 5", got)
-	}
-	if g.Get("missing") != 0 || g.Has("missing") {
-		t.Error("missing counter must read 0 and Has false")
-	}
-	if !g.Has("a_first") || g.Len() != 3 {
-		t.Errorf("Has/Len wrong: len=%d", g.Len())
-	}
-
-	// Samples preserves registration order; Sorted sorts by name.
-	s := g.Samples()
-	if s[0].Name != "b_second" || s[1].Name != "a_first" || s[2].Name != "c_new" {
-		t.Errorf("registration order lost: %v", s)
-	}
-	so := g.Sorted()
-	if so[0].Name != "a_first" || so[1].Name != "b_second" || so[2].Name != "c_new" {
-		t.Errorf("sorted order wrong: %v", so)
-	}
-}
-
-func TestRegistryNilReads(t *testing.T) {
-	var g *Registry
-	if g.Get("x") != 0 || g.Has("x") || g.Len() != 0 || g.Samples() != nil {
-		t.Error("nil registry must read as empty")
-	}
-}
-
-func TestRegistryJSONStable(t *testing.T) {
-	a, b := NewRegistry(), NewRegistry()
-	a.Set("z", 1)
-	a.Set("a", 0.5)
-	b.Set("a", 0.5) // different registration order, same content
-	b.Set("z", 1)
-
-	ja, err := json.Marshal(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	jb, err := json.Marshal(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(ja, jb) {
-		t.Errorf("JSON not order-independent: %s vs %s", ja, jb)
-	}
-	if string(ja) != `{"a":0.5,"z":1}` {
-		t.Errorf("unexpected encoding: %s", ja)
-	}
-
-	var back Registry
-	if err := json.Unmarshal(ja, &back); err != nil {
-		t.Fatal(err)
-	}
-	if back.Get("z") != 1 || back.Get("a") != 0.5 {
-		t.Errorf("round trip lost values: %v", back.Samples())
-	}
-}
-
 func TestRecorderLimitAndDrop(t *testing.T) {
 	r := &Recorder{Limit: 2}
 	for i := 0; i < 5; i++ {

@@ -79,10 +79,6 @@ func (e *Executor) Reg(r isa.Reg) uint64 { return e.regs[r] }
 // FReg returns the float interpretation of a register value.
 func (e *Executor) FReg(r isa.Reg) float64 { return float64frombits(e.regs[r]) }
 
-// Mem returns the executor's memory, usable for pre-initialising data
-// structures or inspecting results after a run.
-func (e *Executor) Mem() *Memory { return e.mem }
-
 // Halted reports whether the program has executed Halt.
 func (e *Executor) Halted() bool { return e.halted }
 

@@ -119,9 +119,6 @@ func Open(dir string) (*Store, error) {
 	return &Store{dir: dir, flights: make(map[string]*flight)}, nil
 }
 
-// Dir returns the cache directory.
-func (s *Store) Dir() string { return s.dir }
-
 // path shards entries by the first byte of the key to keep directory
 // fan-out bounded on big caches.
 func (s *Store) path(key string) string {

@@ -264,7 +264,11 @@ func TestGetOrComputeErrorNotCached(t *testing.T) {
 // TestFlushIndex: Close writes a sorted, parseable inventory of the
 // resident entries.
 func TestFlushIndex(t *testing.T) {
-	s := openTestStore(t)
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
 	keys := []string{
 		Key("e/1", []byte("c"), []byte("t"), "a"),
 		Key("e/1", []byte("c"), []byte("t"), "b"),
@@ -290,7 +294,7 @@ func TestFlushIndex(t *testing.T) {
 			t.Fatalf("Keys() not sorted: %v", listed)
 		}
 	}
-	idx, err := os.ReadFile(s.Dir() + "/index.json")
+	idx, err := os.ReadFile(dir + "/index.json")
 	if err != nil {
 		t.Fatal(err)
 	}

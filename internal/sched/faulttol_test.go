@@ -97,7 +97,7 @@ func TestJobRunDefaultTag(t *testing.T) {
 	if err == nil {
 		t.Fatal("invalid machine accepted")
 	}
-	if r.Cycles != 0 || r.Insts != 0 || r.Workload != "" || r.Mode != "" || r.Metrics.Len() != 0 {
+	if r.Cycles != 0 || r.Insts != 0 || r.Workload != "" || r.Mode != "" || len(r.Metrics) != 0 {
 		t.Errorf("failed job returned non-zero Run %+v", r)
 	}
 	want := "medium/fgstp/mcf"

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"encoding/json"
 	"sync/atomic"
 
@@ -26,10 +25,11 @@ import (
 // (E2 and E4 share every medium single-core and full-fabric Fg-STP
 // cell) and repeated sweeps share simulation work automatically.
 
-// cellStats counts one request's cell traffic: runs is the number of
-// cells the session asked for, hits the ones served from the store,
-// misses the ones actually simulated. hits+misses may fall short of
-// runs only when a cell result was unserialisable and served directly.
+// cellStats counts cell traffic, of one request or (Server.cells) of
+// the whole process: runs is the number of cells the sessions asked
+// for, hits the ones served from the store, misses the ones actually
+// simulated. hits+misses fall short of runs only for a cell that could
+// not be keyed (run uncached) or whose simulation failed.
 type cellStats struct {
 	runs   atomic.Int64
 	hits   atomic.Int64
@@ -45,24 +45,19 @@ type CellStatsSnapshot struct {
 }
 
 func (st *cellStats) snapshot() CellStatsSnapshot {
-	if st == nil {
-		return CellStatsSnapshot{}
-	}
 	return CellStatsSnapshot{Runs: st.runs.Load(), Hits: st.hits.Load(), Misses: st.misses.Load()}
 }
 
-// cellStatsCtxKey carries a *cellStats through the job context so the
-// engine executor can attribute cell traffic to the request that caused
-// it (sweep unit records surface the per-unit counts).
-type cellStatsCtxKey struct{}
-
-func withCellStats(ctx context.Context, st *cellStats) context.Context {
-	return context.WithValue(ctx, cellStatsCtxKey{}, st)
-}
-
-func cellStatsFrom(ctx context.Context) *cellStats {
-	st, _ := ctx.Value(cellStatsCtxKey{}).(*cellStats)
-	return st
+// count records one cell that was served from the store (hit) or
+// simulated. A nil st counts nothing.
+func (st *cellStats) count(hit bool) {
+	switch {
+	case st == nil:
+	case hit:
+		st.hits.Add(1)
+	default:
+		st.misses.Add(1)
+	}
 }
 
 // cellKey content-addresses one simulation cell: engine version,
@@ -102,7 +97,8 @@ func (s *Server) cellRunner(st *cellStats, insts uint64) experiments.CellFunc {
 		if st != nil {
 			st.runs.Add(1)
 		}
-		s.nCellRuns.Add(1)
+		s.cells.runs.Add(1)
+		count := func(hit bool) { st.count(hit); s.cells.count(hit) }
 		sum, err := s.digests.digest(traceID{w.Name, insts}, func() (*trace.Trace, error) { return tr, nil })
 		if err != nil {
 			return cmp.Run(m, mode, tr) // unkeyable, run uncached
@@ -131,43 +127,20 @@ func (s *Server) cellRunner(st *cellStats, insts uint64) experiments.CellFunc {
 			return stats.Run{}, err
 		}
 		if computed != nil {
-			if st != nil {
-				st.misses.Add(1)
-			}
-			s.nCellMisses.Add(1)
+			count(false)
 			return *computed, nil
 		}
-		if env == nil {
-			// A single-flight peer computed an unserialisable run; its
-			// captured copy is not ours to read, so run the cell directly.
-			if st != nil {
-				st.misses.Add(1)
-			}
-			s.nCellMisses.Add(1)
-			return cmp.Run(m, mode, tr)
-		}
 		var run stats.Run
-		if err := json.Unmarshal(env, &run); err != nil {
-			// The store verifies content hashes, so this is an entry from
-			// a different encoding era; recompute rather than fail.
-			if st != nil {
-				st.misses.Add(1)
-			}
-			s.nCellMisses.Add(1)
+		if env == nil || json.Unmarshal(env, &run) != nil {
+			// No payload: a single-flight peer computed an unserialisable
+			// run, and its captured copy is not ours to read. A payload
+			// that does not decode is an entry from a different encoding
+			// era (the store verifies content hashes). Either way, run the
+			// cell directly rather than fail.
+			count(false)
 			return cmp.Run(m, mode, tr)
 		}
-		if st != nil {
-			if hit {
-				st.hits.Add(1)
-			} else {
-				st.misses.Add(1)
-			}
-		}
-		if hit {
-			s.nCellHits.Add(1)
-		} else {
-			s.nCellMisses.Add(1)
-		}
+		count(hit)
 		return run, nil
 	}
 }

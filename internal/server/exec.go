@@ -47,6 +47,9 @@ type BenchRequest struct {
 	TimeoutMillis int64 `json:"timeout_ms,omitempty"`
 
 	ids []string // resolved by validate
+	// cells, when set (sweep units), receives the request's cell-cache
+	// traffic counts.
+	cells *cellStats
 }
 
 // validate normalises defaults and resolves the experiment list; any
@@ -314,7 +317,7 @@ func (e engineExecutor) Bench(ctx context.Context, req *BenchRequest) ([]byte, i
 	// experiments and repeated sweeps share work below the document
 	// level.
 	if e.srv != nil && e.srv.cache != nil && req.Inject == "" {
-		session.SetCellRunner(e.srv.cellRunner(cellStatsFrom(ctx), req.Insts))
+		session.SetCellRunner(e.srv.cellRunner(req.cells, req.Insts))
 	}
 	ev, err := session.Evaluate(ctx, req.ids)
 	if err != nil {

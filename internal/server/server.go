@@ -38,9 +38,9 @@ import (
 	"time"
 
 	"repro/internal/cmp"
-	"repro/internal/metrics"
 	"repro/internal/resultcache"
 	"repro/internal/sched"
+	"repro/internal/stats"
 )
 
 // ErrorSchemaVersion identifies the structured error document every
@@ -136,16 +136,14 @@ type Server struct {
 	nCacheMiss atomic.Int64
 	nBypass    atomic.Int64
 
-	// Sweep and cell-cache counters (PR 8): sweeps counts /v1/sweep
-	// requests, units the cells of the request matrix, unit failures the
-	// units that ended non-200. The cell counters aggregate per-cell
-	// cache traffic across every request (bench and sweep alike).
+	// Sweep and cell-cache counters: sweeps counts /v1/sweep requests,
+	// units the cells of the request matrix, unit failures the units
+	// that ended non-200. cells aggregates per-cell cache traffic across
+	// every request (bench and sweep alike).
 	nSweeps        atomic.Int64
 	nSweepUnits    atomic.Int64
 	nSweepUnitFail atomic.Int64
-	nCellRuns      atomic.Int64
-	nCellHits      atomic.Int64
-	nCellMisses    atomic.Int64
+	cells          cellStats
 }
 
 // New builds a server, opens the cache (if configured) and starts the
@@ -219,9 +217,6 @@ func (s *Server) Drain(ctx context.Context) error {
 	}
 	return waitErr
 }
-
-// Draining reports whether Drain has begun.
-func (s *Server) Draining() bool { return s.draining.Load() }
 
 // worker executes queued jobs until the queue closes and empties.
 func (s *Server) worker() {
@@ -559,45 +554,45 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintln(w, "ready")
 }
 
-// handleMetricz renders the daemon counters. The shared metrics.Registry
-// type is not goroutine-safe, so a fresh one is built per request from
-// the atomic counters — same deterministic rendering, no shared state.
+// handleMetricz renders the daemon counters, one "name value" line
+// each in name order, read afresh from the atomic counters per request.
 func (s *Server) handleMetricz(w http.ResponseWriter, r *http.Request) {
-	reg := metrics.NewRegistry()
-	reg.Set("fgstpd_requests", float64(s.nRequests.Load()))
-	reg.Set("fgstpd_ok", float64(s.nOK.Load()))
-	reg.Set("fgstpd_degraded", float64(s.nDegraded.Load()))
-	reg.Set("fgstpd_errors", float64(s.nErrors.Load()))
-	reg.Set("fgstpd_rejected", float64(s.nRejected.Load()))
-	reg.Set("fgstpd_shed", float64(s.nShed.Load()))
-	reg.Set("fgstpd_panics_contained", float64(s.nPanics.Load()))
-	reg.Set("fgstpd_livelocks", float64(s.nLivelocks.Load()))
-	reg.Set("fgstpd_timeouts", float64(s.nTimeouts.Load()))
-	reg.Set("fgstpd_cache_hits", float64(s.nCacheHit.Load()))
-	reg.Set("fgstpd_cache_misses", float64(s.nCacheMiss.Load()))
-	reg.Set("fgstpd_cache_bypass", float64(s.nBypass.Load()))
-	reg.Set("fgstpd_sweeps", float64(s.nSweeps.Load()))
-	reg.Set("fgstpd_sweep_units", float64(s.nSweepUnits.Load()))
-	reg.Set("fgstpd_sweep_unit_failures", float64(s.nSweepUnitFail.Load()))
-	reg.Set("fgstpd_cell_runs", float64(s.nCellRuns.Load()))
-	reg.Set("fgstpd_cell_hits", float64(s.nCellHits.Load()))
-	reg.Set("fgstpd_cell_misses", float64(s.nCellMisses.Load()))
-	reg.Set("fgstpd_trace_digest_hits", float64(s.digests.hits.Load()))
-	reg.Set("fgstpd_trace_digest_misses", float64(s.digests.misses.Load()))
 	total, tenants := s.q.depth()
-	reg.Set("fgstpd_queue_depth", float64(total))
-	reg.Set("fgstpd_queue_tenants", float64(tenants))
-	reg.Set("fgstpd_queue_depth_peak", float64(s.q.peakDepth()))
+	m := map[string]float64{
+		"fgstpd_requests":            float64(s.nRequests.Load()),
+		"fgstpd_ok":                  float64(s.nOK.Load()),
+		"fgstpd_degraded":            float64(s.nDegraded.Load()),
+		"fgstpd_errors":              float64(s.nErrors.Load()),
+		"fgstpd_rejected":            float64(s.nRejected.Load()),
+		"fgstpd_shed":                float64(s.nShed.Load()),
+		"fgstpd_panics_contained":    float64(s.nPanics.Load()),
+		"fgstpd_livelocks":           float64(s.nLivelocks.Load()),
+		"fgstpd_timeouts":            float64(s.nTimeouts.Load()),
+		"fgstpd_cache_hits":          float64(s.nCacheHit.Load()),
+		"fgstpd_cache_misses":        float64(s.nCacheMiss.Load()),
+		"fgstpd_cache_bypass":        float64(s.nBypass.Load()),
+		"fgstpd_sweeps":              float64(s.nSweeps.Load()),
+		"fgstpd_sweep_units":         float64(s.nSweepUnits.Load()),
+		"fgstpd_sweep_unit_failures": float64(s.nSweepUnitFail.Load()),
+		"fgstpd_cell_runs":           float64(s.cells.runs.Load()),
+		"fgstpd_cell_hits":           float64(s.cells.hits.Load()),
+		"fgstpd_cell_misses":         float64(s.cells.misses.Load()),
+		"fgstpd_trace_digest_hits":   float64(s.digests.hits.Load()),
+		"fgstpd_trace_digest_misses": float64(s.digests.misses.Load()),
+		"fgstpd_queue_depth":         float64(total),
+		"fgstpd_queue_tenants":       float64(tenants),
+		"fgstpd_queue_depth_peak":    float64(s.q.peakDepth()),
+	}
 	if s.cache != nil {
 		st := s.cache.Stats()
-		reg.Set("fgstpd_store_hits", float64(st.Hits))
-		reg.Set("fgstpd_store_misses", float64(st.Misses))
-		reg.Set("fgstpd_store_corrupt", float64(st.Corrupt))
-		reg.Set("fgstpd_store_shared", float64(st.Shared))
-		reg.Set("fgstpd_store_puts", float64(st.Puts))
+		m["fgstpd_store_hits"] = float64(st.Hits)
+		m["fgstpd_store_misses"] = float64(st.Misses)
+		m["fgstpd_store_corrupt"] = float64(st.Corrupt)
+		m["fgstpd_store_shared"] = float64(st.Shared)
+		m["fgstpd_store_puts"] = float64(st.Puts)
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	for _, smp := range reg.Sorted() {
-		fmt.Fprintf(w, "%s %g\n", smp.Name, smp.Value)
+	for _, k := range stats.Names(m) {
+		fmt.Fprintf(w, "%s %g\n", k, m[k])
 	}
 }

@@ -274,9 +274,8 @@ launch:
 		u := req.units[i]
 		st := &cellStats{}
 		uctx, cancel := context.WithTimeout(r.Context(), s.deadline(req.TimeoutMillis))
-		uctx = withCellStats(uctx, st)
 		j := &job{tenant: tenant(r), ctx: uctx, done: make(chan struct{})}
-		j.exec = func(ctx context.Context) *result { return s.runUnit(ctx, u, &req) }
+		j.exec = func(ctx context.Context) *result { return s.runUnit(ctx, u, &req, st) }
 		for {
 			err := s.q.enqueue(j)
 			if err == nil {
@@ -351,9 +350,10 @@ launch:
 // runUnit executes one sweep unit exactly as /v1/bench would execute
 // the same single-experiment request — same validation, same document
 // cache key (a sweep unit and a bench request share cache entries in
-// both directions), same engine path composed from memoised cells.
-func (s *Server) runUnit(ctx context.Context, u sweepUnit, req *SweepRequest) *result {
-	br := &BenchRequest{Experiment: u.Experiment, Insts: u.Insts, Format: req.Format, Jobs: req.Jobs}
+// both directions), same engine path composed from memoised cells. st
+// receives the unit's cell-cache traffic counts.
+func (s *Server) runUnit(ctx context.Context, u sweepUnit, req *SweepRequest, st *cellStats) *result {
+	br := &BenchRequest{Experiment: u.Experiment, Insts: u.Insts, Format: req.Format, Jobs: req.Jobs, cells: st}
 	if err := br.validate(); err != nil {
 		return &result{status: http.StatusBadRequest, errDoc: &ErrorBody{Kind: "invalid", Message: err.Error()}}
 	}

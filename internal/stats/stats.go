@@ -1,7 +1,7 @@
 // Package stats provides the measurement plumbing shared by the timing
 // models and the experiment harness: per-run summaries, derived
-// metrics, geometric means, power-of-two histograms and plain-text
-// table rendering for the figure/table regeneration tools.
+// metrics, geometric means and plain-text table rendering for the
+// figure/table regeneration tools.
 package stats
 
 import (
@@ -9,14 +9,12 @@ import (
 	"math"
 	"sort"
 	"unicode/utf8"
-
-	"repro/internal/metrics"
 )
 
 // Run is the summary of one simulation: a workload executed on a
 // machine mode. Cycles and Insts define performance; Metrics carries
 // model-specific counters (misses, squashes, communication traffic…)
-// keyed by short snake_case names in a deterministic registry.
+// keyed by short snake_case names.
 type Run struct {
 	Workload string
 	Mode     string
@@ -25,10 +23,11 @@ type Run struct {
 	// created by Fg-STP do not count: IPC stays comparable across
 	// modes.
 	Insts uint64
-	// Metrics is the structured counter registry of the run — the
-	// single sink every timing model summarises into. Nil on a zero
-	// Run; Set allocates it.
-	Metrics *metrics.Registry `json:"metrics,omitempty"`
+	// Metrics holds the run's named counters — the single sink every
+	// timing model summarises into. Nil on a zero Run; Set allocates it.
+	// Every renderer walks it in Names order, and encoding/json sorts
+	// map keys too, so exports do not depend on insertion order.
+	Metrics map[string]float64 `json:"metrics,omitempty"`
 }
 
 // IPC returns committed instructions per cycle.
@@ -39,19 +38,27 @@ func (r *Run) IPC() float64 {
 	return float64(r.Insts) / float64(r.Cycles)
 }
 
-// Set records a model counter, allocating the registry on first use.
+// Set records a model counter, allocating the map on first use.
 func (r *Run) Set(key string, v float64) {
 	if r.Metrics == nil {
-		r.Metrics = metrics.NewRegistry()
+		r.Metrics = make(map[string]float64)
 	}
-	r.Metrics.Set(key, v)
+	r.Metrics[key] = v
 }
 
 // Get returns a model counter (zero when absent).
-func (r *Run) Get(key string) float64 { return r.Metrics.Get(key) }
+func (r *Run) Get(key string) float64 { return r.Metrics[key] }
 
-// Has reports whether the run recorded the named counter.
-func (r *Run) Has(key string) bool { return r.Metrics.Has(key) }
+// Names returns the keys of a counter map in name order — the order
+// every text and machine-readable export lists counters in.
+func Names(m map[string]float64) []string {
+	names := make([]string, 0, len(m))
+	for k := range m {
+		names = append(names, k)
+	}
+	sort.Strings(names)
+	return names
+}
 
 // Speedup returns how much faster other is than base on the same
 // workload: base.Cycles / other.Cycles.
@@ -90,70 +97,6 @@ func GeomeanN(vals []float64) (gm float64, excluded int) {
 		return 0, excluded
 	}
 	return math.Exp(sum / float64(n)), excluded
-}
-
-// Hist is a power-of-two bucketed histogram for latency/distance style
-// measurements.
-type Hist struct {
-	buckets [32]uint64
-	count   uint64
-	sum     uint64
-	max     uint64
-}
-
-// Add records one sample.
-func (h *Hist) Add(v uint64) {
-	b := 0
-	for x := v; x > 1 && b < 31; x >>= 1 {
-		b++
-	}
-	h.buckets[b]++
-	h.count++
-	h.sum += v
-	if v > h.max {
-		h.max = v
-	}
-}
-
-// Count returns the number of samples.
-func (h *Hist) Count() uint64 { return h.count }
-
-// Mean returns the arithmetic mean of samples (0 when empty).
-func (h *Hist) Mean() float64 {
-	if h.count == 0 {
-		return 0
-	}
-	return float64(h.sum) / float64(h.count)
-}
-
-// Max returns the largest sample seen.
-func (h *Hist) Max() uint64 { return h.max }
-
-// Bucket returns the count in power-of-two bucket b (samples v with
-// floor(log2 v) == b, where v in {0,1} land in bucket 0).
-func (h *Hist) Bucket(b int) uint64 {
-	if b < 0 || b >= len(h.buckets) {
-		return 0
-	}
-	return h.buckets[b]
-}
-
-// String renders the non-empty buckets compactly.
-func (h *Hist) String() string {
-	s := ""
-	for b, c := range h.buckets {
-		if c == 0 {
-			continue
-		}
-		if s != "" {
-			s += " "
-		}
-		s += fmt.Sprintf("[2^%d]=%d", b, c)
-	}
-	if s == "" {
-		return "(empty)"
-	}
-	return s
 }
 
 // Table accumulates rows and renders an aligned plain-text table — the
@@ -195,24 +138,6 @@ func (t *Table) AddRowf(cells ...interface{}) {
 	t.AddRow(row...)
 }
 
-// SortRows sorts rows by the first column (stable lexicographic).
-// Rows with no cells (AddRow with no arguments) sort as empty strings
-// rather than panicking.
-func (t *Table) SortRows() {
-	sort.SliceStable(t.rows, func(i, j int) bool {
-		return firstCell(t.rows[i]) < firstCell(t.rows[j])
-	})
-}
-
-// firstCell returns a row's sort key: its first cell, or "" for a row
-// with no cells.
-func firstCell(row []string) string {
-	if len(row) == 0 {
-		return ""
-	}
-	return row[0]
-}
-
 // Headers returns the column headers.
 func (t *Table) Headers() []string {
 	out := make([]string, len(t.headers))
@@ -232,9 +157,6 @@ func (t *Table) Rows() [][]string {
 	}
 	return out
 }
-
-// NumRows returns the number of accumulated rows.
-func (t *Table) NumRows() int { return len(t.rows) }
 
 // String renders the table.
 func (t *Table) String() string {

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"encoding/json"
 	"math"
 	"strings"
 	"testing"
@@ -27,6 +28,90 @@ func TestRunExtra(t *testing.T) {
 	r.Set("squashes", 42)
 	if r.Get("squashes") != 42 {
 		t.Error("extra not stored")
+	}
+}
+
+func TestNames(t *testing.T) {
+	if got := Names(nil); got == nil || len(got) != 0 {
+		t.Errorf("Names(nil) = %#v, want an empty slice", got)
+	}
+	got := Names(map[string]float64{"z": 1, "a": 2, "m": 3})
+	if strings.Join(got, ",") != "a,m,z" {
+		t.Errorf("Names = %v, want name order", got)
+	}
+}
+
+// The counters encode in name order whatever order they were set in,
+// compact and indented, with shortest-round-trip floats.
+func TestRunJSONStable(t *testing.T) {
+	r := Run{Workload: "mcf", Mode: "fgstp", Cycles: 1000, Insts: 2500}
+	r.Set("z_last", 3)
+	r.Set("replicated_frac", 0.1)
+	r.Set("comm_per_kinst", 1e21)
+	r.Set("a_first", 1e-7)
+	got, err := json.Marshal(&r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `{"Workload":"mcf","Mode":"fgstp","Cycles":1000,"Insts":2500,` +
+		`"metrics":{"a_first":1e-7,"comm_per_kinst":1e+21,"replicated_frac":0.1,"z_last":3}}`
+	if string(got) != want {
+		t.Errorf("compact encoding:\ngot  %s\nwant %s", got, want)
+	}
+	got, err = json.MarshalIndent(&r, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const wantIndent = `{
+  "Workload": "mcf",
+  "Mode": "fgstp",
+  "Cycles": 1000,
+  "Insts": 2500,
+  "metrics": {
+    "a_first": 1e-7,
+    "comm_per_kinst": 1e+21,
+    "replicated_frac": 0.1,
+    "z_last": 3
+  }
+}`
+	if string(got) != wantIndent {
+		t.Errorf("indented encoding:\ngot\n%s\nwant\n%s", got, wantIndent)
+	}
+	if got, _ := json.Marshal(&Run{}); string(got) != `{"Workload":"","Mode":"","Cycles":0,"Insts":0}` {
+		t.Errorf("a Run without counters must omit metrics: %s", got)
+	}
+}
+
+// registryEraRun is a cell payload as the daemon's cell cache stored it
+// when counters lived in an ordered registry type: gcc, 3000
+// instructions, single mode on the medium machine.
+const registryEraRun = `{"Workload":"gcc","Mode":"single","Cycles":9915,"Insts":3000,"metrics":{` +
+	`"active_cores":1,"bpred_accuracy":0.7543478260869565,"branch_mispredicts":113,` +
+	`"cycles_active":1416,"cycles_channel_wait":0,"cycles_commit_blocked":0,` +
+	`"cycles_execute":7829,"cycles_fetch_starved":585,"cycles_issue_wait":85,` +
+	`"dispatch_stall_copy":0,"dispatch_stall_iq":0,"dispatch_stall_lsq":0,` +
+	`"dispatch_stall_rob":519,"dram_accesses":92,"fetched_uops":3000,` +
+	`"indirect_mispredicts":0,"issued_uops":3000,"l1d_accesses":214,` +
+	`"l1d_miss_rate":0.4252336448598131,"l1i_accesses":446,"l2_accesses":95,` +
+	`"l2_miss_rate":1,"loads_forwarded":0,"loads_speculative":0,"mem_violations":0,` +
+	`"squashed_uops":0,"squashes":0}}`
+
+// Cell-cache entries written before counters became a plain map must
+// decode and re-encode byte for byte, so they still compose documents.
+func TestRunDecodesRegistryEra(t *testing.T) {
+	var r Run
+	if err := json.Unmarshal([]byte(registryEraRun), &r); err != nil {
+		t.Fatal(err)
+	}
+	if len(r.Metrics) != 27 || r.Get("bpred_accuracy") != 0.7543478260869565 || r.Cycles != 9915 {
+		t.Errorf("decoded run lost values: %+v", r)
+	}
+	got, err := json.Marshal(&r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != registryEraRun {
+		t.Errorf("re-encoding moved:\ngot  %s\nwant %s", got, registryEraRun)
 	}
 }
 
@@ -73,49 +158,6 @@ func TestGeomeanBounds(t *testing.T) {
 	}
 }
 
-func TestHist(t *testing.T) {
-	var h Hist
-	if h.Mean() != 0 || h.Count() != 0 {
-		t.Error("empty hist must report zero")
-	}
-	for _, v := range []uint64{0, 1, 2, 3, 4, 8, 100} {
-		h.Add(v)
-	}
-	if h.Count() != 7 {
-		t.Errorf("count = %d, want 7", h.Count())
-	}
-	if h.Max() != 100 {
-		t.Errorf("max = %d, want 100", h.Max())
-	}
-	if h.Bucket(0) != 2 { // 0 and 1
-		t.Errorf("bucket 0 = %d, want 2", h.Bucket(0))
-	}
-	if h.Bucket(1) != 2 { // 2 and 3
-		t.Errorf("bucket 1 = %d, want 2", h.Bucket(1))
-	}
-	if h.Bucket(6) != 1 { // 100
-		t.Errorf("bucket 6 = %d, want 1", h.Bucket(6))
-	}
-	if h.Bucket(-1) != 0 || h.Bucket(99) != 0 {
-		t.Error("out-of-range buckets must read 0")
-	}
-	if !strings.Contains(h.String(), "[2^0]=2") {
-		t.Errorf("String missing bucket: %s", h.String())
-	}
-	if (&Hist{}).String() != "(empty)" {
-		t.Error("empty hist String")
-	}
-}
-
-func TestHistMean(t *testing.T) {
-	var h Hist
-	h.Add(10)
-	h.Add(20)
-	if got := h.Mean(); got != 15 {
-		t.Errorf("mean = %v, want 15", got)
-	}
-}
-
 func TestTableRendering(t *testing.T) {
 	tb := NewTable("Results", "bench", "ipc", "speedup")
 	tb.AddRowf("mcf", 0.5, 1.25)
@@ -140,25 +182,20 @@ func TestTableRendering(t *testing.T) {
 	}
 }
 
-// Regression: SortRows and String must survive a row with zero cells
-// (AddRow with no arguments used to panic on rows[i][0]).
+// Regression: String must survive a row with zero cells (AddRow with
+// no arguments) and render it as blank cells.
 func TestTableEmptyRow(t *testing.T) {
 	tb := NewTable("", "k", "v")
 	tb.AddRow("zeta", "1")
 	tb.AddRow() // no cells at all
 	tb.AddRow("alpha", "2")
-	tb.SortRows() // must not panic
 	out := tb.String()
 	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
 	if len(lines) != 5 { // header, rule, 3 rows
 		t.Fatalf("got %d lines, want 5:\n%s", len(lines), out)
 	}
-	// The empty row sorts first (key "") and renders as blank cells.
-	if strings.TrimSpace(lines[2]) != "" {
-		t.Errorf("empty row should sort first and render blank, got %q", lines[2])
-	}
-	if strings.Index(out, "alpha") > strings.Index(out, "zeta") {
-		t.Error("rows not sorted around the empty row")
+	if strings.TrimSpace(lines[3]) != "" {
+		t.Errorf("empty row should render blank, got %q", lines[3])
 	}
 }
 
@@ -194,8 +231,8 @@ func TestTableAccessors(t *testing.T) {
 		t.Errorf("Headers = %v", got)
 	}
 	rows := tb.Rows()
-	if tb.NumRows() != 2 || len(rows) != 2 {
-		t.Fatalf("NumRows/Rows = %d/%d", tb.NumRows(), len(rows))
+	if len(rows) != 2 {
+		t.Fatalf("Rows = %d, want 2", len(rows))
 	}
 	if len(rows[0]) != 2 || rows[0][1] != "" {
 		t.Errorf("short row not padded: %v", rows[0])
@@ -221,14 +258,16 @@ func TestGeomeanN(t *testing.T) {
 	}
 }
 
+// A table does not sort: rows render in the order they were added
+// (renderers sort their keys first), and cells past the header count
+// are dropped.
 func TestTableSortAndOverflow(t *testing.T) {
 	tb := NewTable("", "k", "v")
 	tb.AddRow("zeta", "1", "extra-dropped")
 	tb.AddRow("alpha")
-	tb.SortRows()
 	out := tb.String()
-	if strings.Index(out, "alpha") > strings.Index(out, "zeta") {
-		t.Error("rows not sorted")
+	if strings.Index(out, "zeta") > strings.Index(out, "alpha") {
+		t.Error("rows not in insertion order")
 	}
 	if strings.Contains(out, "extra-dropped") {
 		t.Error("overflow cell must be dropped")

@@ -62,7 +62,10 @@
 #                   documents must equal fgstpsim stdout, and /metricz
 #                   must show the pair added one document-cache hit and
 #                   one trace-digest miss (the repeat captures and
-#                   saves nothing); finally SIGTERM with a job in
+#                   saves nothing); metricz order: every /metricz line
+#                   must be "name value" and the names must pass
+#                   LC_ALL=C sort -c (stats.Names keeps them in name
+#                   order); finally SIGTERM with a job in
 #                   flight must drain gracefully — the job finishes,
 #                   the daemon exits 0
 #   signal smoke    SIGTERM sent the moment /readyz answers 200 must
@@ -256,6 +259,12 @@ hits=$(($(metric fgstpd_cache_hits) - hits0))
 digests=$(($(metric fgstpd_trace_digest_misses) - digests0))
 [ "$hits" -eq 1 ] && [ "$digests" -eq 1 ] || {
     echo "sim pair added $hits cache hits and $digests trace-digest misses, want 1 and 1"; exit 1; }
+# /metricz order: one "name value" pair a line, names in byte order.
+curl -fsS "$addr/metricz" >"$tmp/metricz.txt"
+[ -s "$tmp/metricz.txt" ] && awk 'NF != 2 { bad = 1 } END { exit bad }' "$tmp/metricz.txt" || {
+    echo "/metricz is empty or has a line that is not \"name value\""; cat "$tmp/metricz.txt"; exit 1; }
+awk '{ print $1 }' "$tmp/metricz.txt" | LC_ALL=C sort -c || {
+    echo "/metricz names are not in name order"; cat "$tmp/metricz.txt"; exit 1; }
 # SIGTERM with a job in flight: the drain finishes the job (the client
 # receives a complete document) and the daemon exits 0.
 "$tmp/fgstpd" submit -addr "$addr" -kind bench -experiment E5 -insts 60000 -format json \
